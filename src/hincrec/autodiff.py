@@ -124,7 +124,8 @@ class Tape:
         return self._emit(out_val, backward)
 
     def concat(self, parts: Sequence) -> Var:
-        """Concatenate scalars and 1-d vectors into one vector."""
+        """Concatenate scalars and 1-d vectors into one vector, or matrices
+        with equal column counts along their rows."""
         parts = [self._lift(p) for p in parts]
         if not parts:
             raise ShapeMismatch("concat of empty sequence")
@@ -235,7 +236,9 @@ class Tape:
 
     def log(self, x) -> Var:
         x = self._lift(x)
-        out_val = np.log(x.value)
+        # log(0) and log(<0) are left to check_finite, not warned about.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            out_val = np.log(x.value)
 
         def backward(g):
             _accum(x, g / x.value)
@@ -285,6 +288,81 @@ class Tape:
 
         return self._emit(out_val, backward)
 
+    def gather_rows(self, x, idx) -> Var:
+        """Rows `idx` of a matrix (entries of a vector), in the given order."""
+        x = self._lift(x)
+        idx = np.asarray(idx, dtype=np.intp)
+        if x.value.ndim not in (1, 2) or idx.ndim != 1:
+            raise ShapeMismatch("gather_rows expects a vector or matrix and 1-d indices")
+        if idx.size and (idx.min() < 0 or idx.max() >= x.value.shape[0]):
+            raise ShapeMismatch(f"gather_rows index out of range 0..{x.value.shape[0] - 1}")
+        distinct = len(set(idx.tolist())) == idx.size
+        out_val = x.value[idx]
+
+        def backward(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.value)
+            if distinct:
+                x.grad[idx] += g
+            else:
+                np.add.at(x.grad, idx, g)
+
+        return self._emit(out_val, backward)
+
+    def matmul_t(self, a, b, bias=None) -> Var:
+        """a @ b.T for matrices a (n, k) and b (m, k), plus an optional
+        bias vector (m,) added to every row."""
+        a, b = self._lift(a), self._lift(b)
+        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
+            raise ShapeMismatch(f"matmul_t {a.value.shape} @ {b.value.shape}.T")
+        out_val = a.value @ b.value.T
+        if bias is not None:
+            bias = self._lift(bias)
+            if bias.value.shape != (b.value.shape[0],):
+                raise ShapeMismatch(f"matmul_t bias {bias.value.shape} for {out_val.shape}")
+            out_val += bias.value
+
+        def backward(g):
+            _accum(a, g @ b.value)
+            _accum(b, g.T @ a.value)
+            if bias is not None:
+                _accum(bias, g.sum(axis=0))
+
+        return self._emit(out_val, backward)
+
+    def multihead_attention(self, h, nbr_idx, mask, a, slope: float = 0.2) -> Var:
+        """HAN node-level attention of row 0 of `h` over R neighborhoods,
+        all heads at once (see `attention_weights` for the arguments).
+
+        Row r of the (R, heads * f) result is the concatenation over heads
+        k of leaky_relu(sum_j alpha[r, k, j] * h[nbr_idx[r, j]]).
+        """
+        h, a = self._lift(h), self._lift(a)
+        nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
+        mask = np.asarray(mask, dtype=bool)
+        hn, pre, alpha = attention_weights(h.value, nbr_idx, mask, a.value, slope)
+        n_rows, heads, _ = alpha.shape
+        f = h.value.shape[1]
+        agg = alpha @ hn
+        out_val = np.where(agg > 0, agg, slope * agg).reshape(n_rows, heads * f)
+
+        def backward(g):
+            a3 = a.value.reshape(n_rows, heads, 2 * f)
+            g_agg = g.reshape(agg.shape) * np.where(agg > 0, 1.0, slope)
+            g_alpha = g_agg @ hn.transpose(0, 2, 1)
+            g_e = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
+            g_pre = g_e * np.where(pre > 0, 1.0, slope)
+            g_self = g_pre.sum(axis=-1)
+            g_hn = alpha.transpose(0, 2, 1) @ g_agg + g_pre.transpose(0, 2, 1) @ a3[..., f:]
+            g_h = np.zeros_like(h.value)
+            np.add.at(g_h, nbr_idx, g_hn)
+            g_h[0] += np.einsum("rk,rkf->f", g_self, a3[..., :f])
+            _accum(h, g_h)
+            g_a = np.concatenate((g_self[..., None] * h.value[0], g_pre @ hn), axis=-1)
+            _accum(a, g_a.reshape(a.value.shape))
+
+        return self._emit(out_val, backward)
+
     def slice1d(self, x, start: int, stop: int) -> Var:
         x = self._lift(x)
         if x.value.ndim != 1:
@@ -315,6 +393,43 @@ class Tape:
             name: (v.grad if v.grad is not None else np.zeros_like(v.value))
             for name, v in leaves.items()
         }
+
+
+def attention_weights(
+    h: np.ndarray,
+    nbr_idx: np.ndarray,
+    mask: np.ndarray,
+    a: np.ndarray,
+    slope: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Multi-head node-level attention weights of HAN, padded neighborhoods.
+
+    `h` (n, f) holds the node features, row 0 the attending node;
+    neighborhood r is rows ``nbr_idx[r, j]`` of `h` where ``mask[r, j]``;
+    `a` (R * heads, 2f) holds one block of heads per neighborhood, each
+    row [a_self || a_nbr]. The logit of head k for neighbor j is
+    leaky_relu(a_self . h[0] + a_nbr . h[nbr_idx[r, j]]).
+
+    Returns the gathered neighbors (R, L, f), the logits before the
+    leaky ReLU (R, heads, L) and the weights alpha (R, heads, L), which
+    are 0 outside the mask and sum to 1 over each neighborhood.
+    """
+    if nbr_idx.ndim != 2 or mask.shape != nbr_idx.shape or nbr_idx.shape[0] == 0:
+        raise ShapeMismatch(f"neighbor index {nbr_idx.shape} with mask {mask.shape}")
+    if not mask.any(axis=1).all():
+        raise ShapeMismatch("attention over an empty neighborhood")
+    n_rows = nbr_idx.shape[0]
+    if h.ndim != 2 or a.ndim != 2 or a.shape[1] != 2 * h.shape[1] or a.shape[0] % n_rows:
+        raise ShapeMismatch(f"attention over {h.shape} features with weights {a.shape}")
+    if nbr_idx.min() < 0 or nbr_idx.max() >= h.shape[0]:
+        raise ShapeMismatch(f"neighbor index out of range 0..{h.shape[0] - 1}")
+    f = h.shape[1]
+    a3 = a.reshape(n_rows, -1, 2 * f)
+    hn = h[nbr_idx]
+    pre = (a3[..., :f] @ h[0])[..., None] + a3[..., f:] @ hn.transpose(0, 2, 1)
+    e = np.where(mask[:, None, :], np.where(pre > 0, pre, slope * pre), -np.inf)
+    w = np.exp(e - e.max(axis=-1, keepdims=True))
+    return hn, pre, w / w.sum(axis=-1, keepdims=True)
 
 
 def grad_check(

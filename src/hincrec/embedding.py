@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .autodiff import Tape, Var
+from .autodiff import Tape, Var, attention_weights
 from .graph import HinGraph, NodeRef, NodeType
 from .metapath import MetaPath, PathCorpus, distinct_nodes, metapath_neighbors
 
@@ -90,68 +90,61 @@ class EmbedParams:
         return clone
 
 
-class _ProjectionCache:
-    """Projects each node at most once per forward pass."""
+def _project(
+    tape: Tape, leaves: dict[str, Var], nodes: list[NodeRef]
+) -> tuple[Var, dict[NodeRef, int]]:
+    """Projected features M_type @ h of the distinct `nodes`, one gather and
+    one product per node type, with ``nodes[0]`` in row 0. Returns the
+    (len(nodes), head_dim) matrix and the row of each node."""
+    by_type: dict[NodeType, list[NodeRef]] = {}
+    for ref in nodes:
+        by_type.setdefault(ref.type, []).append(ref)
+    blocks: list[Var] = []
+    row: dict[NodeRef, int] = {}
+    for nt, refs in by_type.items():
+        row.update({ref: len(row) + i for i, ref in enumerate(refs)})
+        feats = tape.gather_rows(leaves[f"feat.{nt.value}"], [ref.index for ref in refs])
+        blocks.append(tape.matmul_t(feats, leaves[f"proj.{nt.value}"]))
+    return (blocks[0] if len(blocks) == 1 else tape.concat(blocks)), row
 
-    def __init__(self, tape: Tape, leaves: dict[str, Var]):
-        self.tape = tape
-        self.leaves = leaves
-        self._cache: dict[NodeRef, Var] = {}
 
-    def __call__(self, node: NodeRef) -> Var:
-        var = self._cache.get(node)
-        if var is None:
-            h = self.tape.gather_row(self.leaves[f"feat.{node.type.value}"], node.index)
-            var = self.tape.matvec(self.leaves[f"proj.{node.type.value}"], h)
-            self._cache[node] = var
-        return var
-
-
-def _attention_logits(
+def _attention_inputs(
     tape: Tape,
-    attn_row: Var,
-    h_self: Var,
-    h_nbrs: Var,
-    f1: int,
-    slope: float,
-) -> Var:
-    # a . [h_i || h_j] split into the self and neighbor halves of a.
-    a_self = tape.slice1d(attn_row, 0, f1)
-    a_nbr = tape.slice1d(attn_row, f1, 2 * f1)
-    s_self = tape.dot(a_self, h_self)
-    s_nbrs = tape.matvec(h_nbrs, a_nbr)
-    return tape.leaky_relu(tape.add_scalar(s_nbrs, s_self), slope)
+    leaves: dict[str, Var],
+    node: NodeRef,
+    hoods: list[list[NodeRef]],
+    mps: list[MetaPath],
+) -> tuple[Var, np.ndarray, np.ndarray, Var]:
+    """Arguments of `Tape.multihead_attention` for `node` attending over
+    each of `hoods` with the attention vectors of the matching meta-path:
+    projected features, padded neighbor rows, their mask, stacked vectors."""
+    h, row = _project(tape, leaves, distinct_nodes(node, hoods))
+    idx = np.zeros((len(hoods), max(len(hood) for hood in hoods)), dtype=np.intp)
+    mask = np.zeros(idx.shape, dtype=bool)
+    for r, hood in enumerate(hoods):
+        idx[r, : len(hood)] = [row[ref] for ref in hood]
+        mask[r, : len(hood)] = True
+    attn = [leaves[f"attn.mp{mp.id}"] for mp in mps]
+    return h, idx, mask, attn[0] if len(attn) == 1 else tape.concat(attn)
 
 
-def build_path_embedding(
+def _path_embeddings(
     tape: Tape,
     leaves: dict[str, Var],
     params: EmbedParams,
-    user: NodeRef,
-    neighborhood: list[NodeRef],
-    mp: MetaPath,
-    project: Optional[_ProjectionCache] = None,
+    node: NodeRef,
+    hoods: list[list[NodeRef]],
+    mps: list[MetaPath],
 ) -> Var:
-    """Multi-head attention aggregation over one meta-path neighborhood."""
-    cfg = params.cfg
-    if project is None:
-        project = _ProjectionCache(tape, leaves)
-    h_self = project(user)
-    h_nbrs = tape.stack_rows([project(j) for j in neighborhood])
-    attn = leaves[f"attn.mp{mp.id}"]
-    heads = []
-    for head in range(cfg.heads):
-        row = tape.gather_row(attn, head)
-        logits = _attention_logits(tape, row, h_self, h_nbrs, cfg.head_dim, cfg.leaky_slope)
-        alpha = tape.softmax(logits)
-        agg = tape.matvec_t(h_nbrs, alpha)
-        heads.append(tape.leaky_relu(agg, cfg.leaky_slope))
-    return heads[0] if len(heads) == 1 else tape.concat(heads)
+    """Multi-head node-level attention aggregation, one row per neighborhood."""
+    h, idx, mask, a = _attention_inputs(tape, leaves, node, hoods, mps)
+    return tape.multihead_attention(h, idx, mask, a, params.cfg.leaky_slope)
 
 
-def _path_score(tape: Tape, leaves: dict[str, Var], emb: Var) -> Var:
-    hidden = tape.tanh(tape.vecadd(tape.matvec(leaves["path.W"], emb), leaves["path.b"]))
-    return tape.dot(leaves["path.q"], hidden)
+def _path_scores(tape: Tape, leaves: dict[str, Var], emb: Var) -> Var:
+    """Path-level scores q . tanh(W e + b), one per row e of `emb`."""
+    hidden = tape.tanh(tape.matmul_t(emb, leaves["path.W"], leaves["path.b"]))
+    return tape.matvec(hidden, leaves["path.q"])
 
 
 def build_user_embedding(
@@ -171,36 +164,31 @@ def build_user_embedding(
     while the fused embedding still uses the union. The result is a
     deterministic function of (params, corpus); ``rng`` draws nothing.
     """
-    cfg = params.cfg
-    project = _ProjectionCache(tape, leaves)
-    per_path: list[Var] = []
-    scores: list[Var] = []
-    for mp in params.metapaths:
-        nbrs = metapath_neighbors(corpus, user, mp)
-        emb = build_path_embedding(tape, leaves, params, user, nbrs, mp, project)
-        per_path.append(emb)
-        if cfg.average_path_scores:
-            bag = corpus.bag(user, mp.id)
-            insts = bag if bag else [[user]]
-            inst_scores = []
-            for inst in insts:
-                inst_nbrs = distinct_nodes(user, [inst])
-                inst_emb = build_path_embedding(
-                    tape, leaves, params, user, inst_nbrs, mp, project
-                )
-                inst_scores.append(_path_score(tape, leaves, inst_emb))
-            total = inst_scores[0]
-            for s in inst_scores[1:]:
-                total = tape.vecadd(total, s)
-            scores.append(tape.scale(total, 1.0 / len(inst_scores)))
-        else:
-            scores.append(_path_score(tape, leaves, emb))
-    beta = tape.softmax(tape.concat(scores))
-    fused = None
-    for k, emb in enumerate(per_path):
-        term = tape.scale(emb, tape.gather_row(beta, k))
-        fused = term if fused is None else tape.vecadd(fused, term)
-    return fused, beta
+    mps = params.metapaths
+    hoods = [metapath_neighbors(corpus, user, mp) for mp in mps]
+    if not params.cfg.average_path_scores:
+        per_path = _path_embeddings(tape, leaves, params, user, hoods, mps)
+        scores = _path_scores(tape, leaves, per_path)
+    else:
+        # Rows after the unions hold one instance each; a path's score is
+        # the mean of its instances' scores.
+        owner: list[int] = []
+        inst_hoods: list[list[NodeRef]] = []
+        for p, mp in enumerate(mps):
+            for inst in corpus.bag(user, mp.id) or [[user]]:
+                owner.append(p)
+                inst_hoods.append(distinct_nodes(user, [inst]))
+        rows = _path_embeddings(
+            tape, leaves, params, user, hoods + inst_hoods, mps + [mps[p] for p in owner]
+        )
+        n, m = len(mps), len(owner)
+        per_path = tape.gather_rows(rows, range(n))
+        inst_scores = _path_scores(tape, leaves, tape.gather_rows(rows, range(n, n + m)))
+        mean = np.zeros((n, m))
+        mean[owner, np.arange(m)] = 1.0
+        scores = tape.matvec(mean / mean.sum(axis=1, keepdims=True), inst_scores)
+    beta = tape.softmax(scores)
+    return tape.matvec_t(per_path, beta), beta
 
 
 # -- numpy-facing wrappers over the tape builders -------------------------
@@ -213,7 +201,8 @@ def _const_leaves(tape: Tape, params: EmbedParams) -> dict[str, Var]:
 def project(params: EmbedParams, node: NodeRef) -> np.ndarray:
     """Projected feature of one node: M_type @ h_node."""
     tape = Tape(record=False)
-    return _ProjectionCache(tape, _const_leaves(tape, params))(node).value
+    h, _ = _project(tape, _const_leaves(tape, params), [node])
+    return h.value[0]
 
 
 def node_attention(
@@ -227,15 +216,11 @@ def node_attention(
     if not neighborhood:
         raise ValueError("neighborhood must be nonempty")
     tape = Tape(record=False)
-    leaves = _const_leaves(tape, params)
-    proj = _ProjectionCache(tape, leaves)
-    h_self = proj(node)
-    h_nbrs = tape.stack_rows([proj(j) for j in neighborhood])
-    row = tape.gather_row(leaves[f"attn.mp{mp.id}"], head)
-    logits = _attention_logits(
-        tape, row, h_self, h_nbrs, params.cfg.head_dim, params.cfg.leaky_slope
+    h, idx, mask, a = _attention_inputs(
+        tape, _const_leaves(tape, params), node, [neighborhood], [mp]
     )
-    return tape.softmax(logits).value
+    _, _, alpha = attention_weights(h.value, idx, mask, a.value, params.cfg.leaky_slope)
+    return alpha[0, head]
 
 
 def node_aggregate(
@@ -250,9 +235,10 @@ def node_aggregate(
     Aggregates over the bag union; ``rng`` draws nothing.
     """
     tape = Tape(record=False)
-    leaves = _const_leaves(tape, params)
-    nbrs = metapath_neighbors(corpus, node, mp)
-    return build_path_embedding(tape, leaves, params, node, nbrs, mp).value
+    hood = metapath_neighbors(corpus, node, mp)
+    return _path_embeddings(
+        tape, _const_leaves(tape, params), params, node, [hood], [mp]
+    ).value[0]
 
 
 def path_attention(
@@ -260,11 +246,7 @@ def path_attention(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Path-level weights over per-meta-path embeddings: (beta, raw scores)."""
     tape = Tape(record=False)
-    leaves = _const_leaves(tape, params)
-    scores = [
-        _path_score(tape, leaves, tape.leaf(emb)) for emb in embeddings
-    ]
-    w = tape.concat(scores)
+    w = _path_scores(tape, _const_leaves(tape, params), tape.leaf(np.stack(embeddings)))
     return tape.softmax(w).value, w.value
 
 

@@ -13,10 +13,12 @@ from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
+from .autodiff import Tape
 from .embedding import user_embedding
 from .graph import HinGraph, NodeRef
 from .metapath import PathCorpus
 from .model import ModelParams
+from .policy import policy_logits
 
 Scorer = Callable[[NodeRef, np.ndarray], np.ndarray]
 
@@ -139,8 +141,10 @@ def build_trials(
     trials = []
     all_concepts = np.arange(n_concepts)
     for user, positive in test_positives:
-        clicked = clicked_by_user.get(user, set())
-        pool = np.array([c for c in all_concepts if c not in clicked and c != positive])
+        blocked = [*clicked_by_user.get(user, ()), positive]
+        keep = np.ones(n_concepts, dtype=bool)
+        keep[[c for c in blocked if 0 <= c < n_concepts]] = False
+        pool = all_concepts[keep]
         if pool.size == 0:
             continue
         take = min(n_negatives, pool.size)
@@ -232,15 +236,10 @@ class PolicyScorer:
         if cached is not None:
             return cached
         emb = user_embedding(self.model.embed, self.graph, self.corpus, user)
-        policy = self.model.policy
-        if policy.tied:
-            logits = self.model.embed.tensors["feat.concept"] @ (
-                policy.tensors["policy.tie_proj"].T @ emb.vector
-            )
-        else:
-            logits = policy.tensors["policy.scores"] @ emb.vector
-        if "policy.bias" in policy.tensors:
-            logits = logits + policy.tensors["policy.bias"]
+        tape = Tape(record=False)
+        logits = policy_logits(
+            tape, self.model.leaves(tape), self.model.policy, tape.leaf(emb.vector)
+        ).value
         self._cache[user] = logits
         return logits
 

@@ -104,6 +104,24 @@ class PolicyParams:
         return clone
 
 
+def policy_logits(
+    tape: Tape,
+    leaves: dict[str, Var],
+    policy: PolicyParams,
+    u: Var,
+) -> Var:
+    """Concept logits for user vector `u`: scores @ u + bias, where a tied
+    policy's score table is feat.concept @ tie_proj.T."""
+    if policy.tied:
+        folded = tape.matvec_t(leaves["policy.tie_proj"], u)
+        z = tape.matvec(leaves["feat.concept"], folded)
+    else:
+        z = tape.matvec(leaves["policy.scores"], u)
+    if "policy.bias" in leaves:
+        z = tape.vecadd(z, leaves["policy.bias"])
+    return z
+
+
 def build_action_distribution(
     tape: Tape,
     leaves: dict[str, Var],
@@ -114,14 +132,7 @@ def build_action_distribution(
     """Masked softmax distribution over concepts as a tape Var."""
     if actions.count() == 0:
         raise EmptyActionSet("no available concept to score")
-    if policy.tied:
-        folded = tape.matvec_t(leaves["policy.tie_proj"], u)
-        z = tape.matvec(leaves["feat.concept"], folded)
-    else:
-        z = tape.matvec(leaves["policy.scores"], u)
-    if "policy.bias" in leaves:
-        z = tape.vecadd(z, leaves["policy.bias"])
-    return tape.masked_softmax(z, actions.mask)
+    return tape.masked_softmax(policy_logits(tape, leaves, policy, u), actions.mask)
 
 
 def action_distribution(

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,40 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             tape.dot(tape.leaf([1.0]), tape.leaf([1.0, 2.0]))
 
+    def test_concat_rows_of_matrices(self):
+        tape, (a, b) = leaf_pair(np.ones((2, 3)), np.zeros((1, 3)))
+        out = tape.concat([a, b])
+        assert out.value.shape == (3, 3)
+        tape.backward(tape.vsum(tape.matmul_t(out, tape.leaf(np.arange(3.0)[None, :]))))
+        assert np.array_equal(a.grad, np.tile(np.arange(3.0), (2, 1)))
+        assert np.array_equal(b.grad, np.arange(3.0)[None, :])
+
+    def test_gather_rows_rejects_out_of_range(self):
+        tape = Tape()
+        with pytest.raises(ShapeMismatch):
+            tape.gather_rows(tape.leaf(np.eye(3)), [0, 3])
+        with pytest.raises(ShapeMismatch):
+            tape.gather_rows(tape.leaf(np.eye(3)), [-1])
+
+    def test_multihead_attention_masked_entries_inert(self):
+        # padding a neighborhood with masked entries changes nothing
+        rng = np.random.default_rng(4)
+        h, a = rng.normal(size=(4, 2)), rng.normal(size=(3, 4))
+        tape = Tape(record=False)
+        short = tape.multihead_attention(h, [[0, 1, 2]], [[True] * 3], a, 0.2).value
+        padded = tape.multihead_attention(
+            h, [[0, 1, 2, 3, 3]], [[True, True, True, False, False]], a, 0.2
+        ).value
+        assert short.shape == (1, 6)
+        assert np.array_equal(short, padded)
+
+    def test_multihead_attention_rejects_empty_neighborhood(self):
+        tape = Tape()
+        with pytest.raises(ShapeMismatch):
+            tape.multihead_attention(
+                np.eye(2), [[0, 1], [1, 0]], [[True, True], [False, False]], np.ones((2, 4)), 0.2
+            )
+
     def test_gather_row(self):
         tape = Tape()
         m = tape.leaf(np.arange(6.0).reshape(3, 2))
@@ -156,7 +191,19 @@ class TestGradCheck:
             "v4": rng.normal(0, 1, 4),
             "s": np.asarray(0.7),
             "P": np.abs(rng.normal(0, 1, 4)) + 0.1,
+            "b5": rng.normal(0, 1, 5),
         }
+        # Attention inputs whose logits take both signs in every head, so
+        # that the self half of each attention vector gets a gradient; with
+        # one sign only it is an exact softmax shift and its gradient is 0.
+        att_rng = np.random.default_rng(7)
+        p["H"] = att_rng.normal(0, 1, (5, 3))
+        p["a1"] = att_rng.normal(0, 1, (2, 6))
+        p["a2"] = att_rng.normal(0, 1, (4, 6))
+        # two padded neighborhoods over the rows of H; row 3 appears twice
+        # in the second, the attending row 0 in both
+        nbr_idx = np.array([[0, 2, 4, 0], [1, 3, 3, 0]])
+        nbr_mask = np.array([[True, True, True, False], [True, True, True, True]])
 
         @case("matvec")
         def _(t, lv):
@@ -225,6 +272,36 @@ class TestGradCheck:
         def _(t, lv):
             return t.gather_row(lv["x"], 1)
 
+        @case("gather_rows")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.gather_rows(lv["H"], [4, 0, 2])))
+
+        @case("gather_rows_repeated")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.gather_rows(lv["H"], [1, 3, 1])))
+
+        @case("matmul_t")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.matmul_t(lv["H"], lv["A"])))
+
+        @case("matmul_t_bias")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.matmul_t(lv["A"], lv["H"], lv["b5"])))
+
+        @case("concat_rows")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.concat([lv["A"], lv["H"]])))
+
+        @case("multihead_attention_1_head")
+        def _(t, lv):
+            out = t.multihead_attention(lv["H"], nbr_idx, nbr_mask, lv["a1"], 0.2)
+            return t.vsum(t.tanh(out))
+
+        @case("multihead_attention_2_heads")
+        def _(t, lv):
+            out = t.multihead_attention(lv["H"], nbr_idx, nbr_mask, lv["a2"], 0.2)
+            return t.vsum(t.tanh(out))
+
         for name, fn in cases.items():
             err = grad_check(fn, p, eps=1e-5)
             assert err < 1e-7, f"primitive {name}: relative error {err}"
@@ -256,8 +333,10 @@ class TestTapeMechanics:
 
     def test_check_finite(self):
         tape = Tape(check_finite=True)
-        with pytest.raises(FloatingPointError):
-            tape.log(tape.leaf([0.0, 1.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError):
+                tape.log(tape.leaf([0.0, 1.0]))
 
     def test_gradient_of_output_is_one(self):
         tape = Tape()

@@ -3,7 +3,10 @@ import math
 import numpy as np
 import pytest
 
+import unfused
+
 from hincrec.autodiff import Tape, grad_check
+from hincrec.data import holdout_targets, temporal_split
 from hincrec.embedding import (
     EmbedConfig,
     EmbedParams,
@@ -18,6 +21,9 @@ from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import PathCorpus, builtin_metapaths
 from hincrec.metrics import PolicyScorer
 from hincrec.model import init_model
+from hincrec.policy import ActionSet, build_action_distribution, policy_logits
+from hincrec.synth import SynthConfig, generate_synthetic
+from hincrec.training import make_training_env
 
 U, K = NodeType.USER, NodeType.CONCEPT
 
@@ -299,3 +305,101 @@ class TestEmbeddingGradients:
 
         err = grad_check(f, params.tensors, eps=1e-5)
         assert err < 1e-4
+
+
+# -- fused kernels against the unfused composition ----------------------------
+
+
+@pytest.fixture(scope="module")
+def acceptance_world():
+    """Training env of the acceptance world (tests/test_acceptance.py).
+    The first training user's four bags and the last one's MP3 bag are
+    emptied, so that the self-only fallback is among the users compared."""
+    ds = generate_synthetic(
+        SynthConfig(users=200, concepts=50, clusters=5, p_in=0.9, p_out=0.02,
+                    clicks_per_user=20, seed=7)
+    )
+    stamps = sorted(c.ts for c in ds.clicks)
+    split = temporal_split(ds, stamps[int(0.8 * len(stamps))])
+    hold = holdout_targets(split.train, 0.5)
+    rng = np.random.default_rng(7)
+    env = make_training_env(
+        hold.graph, hold.targets, builtin_metapaths(), walks_per_path=10, max_walk_len=5,
+        rng=rng,
+    )
+    env.corpus.restore_user(env.users[-1], {3: []})
+    env.corpus.restore_user(env.users[0], {mp.id: [] for mp in env.corpus.metapaths})
+    return env, hold.graph
+
+
+def _leaves(tape, params):
+    return {k: tape.leaf(v) for k, v in params.tensors.items()}
+
+
+def embedding_loss(tape, leaves, params, corpus, user, build):
+    """0.5 |u|^2 + c . beta: reaches every embedding tensor through both the
+    user vector and the path weights."""
+    u, beta = build(tape, leaves, params, corpus, user)
+    c = tape.leaf(np.linspace(-1.0, 1.0, beta.value.size))
+    return u, beta, tape.vecadd(tape.scale(tape.dot(u, u), 0.5), tape.dot(beta, c))
+
+
+class TestFusedMatchesUnfused:
+    @pytest.mark.parametrize("average", [False, True])
+    def test_every_training_user(self, acceptance_world, average):
+        env, graph = acceptance_world
+        params = EmbedParams(
+            EmbedConfig(average_path_scores=average), graph.node_counts,
+            builtin_metapaths(), np.random.default_rng(3),
+        )
+        for user in env.users:
+            got = []
+            for build in (build_user_embedding, unfused.user_embedding):
+                tape = Tape()
+                leaves = _leaves(tape, params)
+                u, beta, loss = embedding_loss(tape, leaves, params, env.corpus, user, build)
+                got.append((u.value, beta.value, tape.gradients(loss, leaves)))
+            (u1, b1, g1), (u2, b2, g2) = got
+            assert np.max(np.abs(u1 - u2)) <= 1e-12, user
+            assert np.max(np.abs(b1 - b2)) <= 1e-12, user
+            # relative to the largest gradient entry of the user: a tensor
+            # whose true gradient is 0 (beta of an all-empty user) reads
+            # rounding noise in both compositions
+            scale = max(np.max(np.abs(want)) for want in g2.values())
+            for name, want in g2.items():
+                assert np.max(np.abs(g1[name] - want)) <= 1e-9 * scale, (user, name)
+
+    def test_tape_node_budget(self, acceptance_world):
+        # embedding, policy and cross-entropy loss of one user, as pretrain
+        # builds them
+        env, graph = acceptance_world
+        model = init_model(graph, builtin_metapaths(), EmbedConfig(),
+                           rng=np.random.default_rng(0))
+        actions = ActionSet.full(env.n_concepts)
+        most = 0
+        for user in env.users:
+            tape = Tape()
+            leaves = model.leaves(tape)
+            u, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
+            dist = build_action_distribution(tape, leaves, model.policy, u, actions)
+            tape.scale(tape.log(tape.gather_row(dist, 0)), -1.0)
+            most = max(most, len(tape._nodes))
+        assert most <= 40
+
+
+class TestPolicyScorerLogits:
+    @pytest.mark.parametrize("tied", [False, True])
+    def test_equal_to_tape_logits(self, acceptance_world, tied):
+        env, graph = acceptance_world
+        model = init_model(graph, builtin_metapaths(), EmbedConfig(),
+                           rng=np.random.default_rng(2), tie_concept_features=tied)
+        rng = np.random.default_rng(5)
+        for arr in model.policy.tensors.values():
+            arr[...] = rng.normal(size=arr.shape)
+        scorer = PolicyScorer(model, graph, env.corpus)
+        for user in env.users[:20]:
+            tape = Tape()
+            leaves = model.leaves(tape)
+            u, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
+            want = policy_logits(tape, leaves, model.policy, u).value
+            assert np.array_equal(scorer.logits(user), want)

@@ -197,6 +197,40 @@ class TestProtocol:
         (spec,) = trials
         assert len(spec.candidates) == 3  # positive + the 2 never-clicked
 
+    def test_pool_matches_comprehension(self):
+        # the pool as a Python comprehension over all K concepts; clicked ids
+        # outside [0, K) and users with an empty pool included
+        def reference(test_positives, clicked_by_user, n_concepts, n_negatives, rng):
+            out = []
+            for user, positive in test_positives:
+                clicked = clicked_by_user.get(user, set())
+                pool = np.array(
+                    [c for c in np.arange(n_concepts) if c not in clicked and c != positive]
+                )
+                if pool.size == 0:
+                    continue
+                negatives = rng.choice(pool, size=min(n_negatives, pool.size), replace=False)
+                out.append((user, positive, np.concatenate(([positive], negatives))))
+            return out
+
+        gen = np.random.default_rng(8)
+        for case in range(40):
+            n_concepts = int(gen.integers(1, 60))
+            users = [NodeRef(U, i) for i in range(12)]
+            clicked = {
+                u: {int(c) for c in gen.integers(-3, n_concepts + 3, gen.integers(0, 15))}
+                for u in users[:10]
+            }
+            clicked[users[0]] = set(range(n_concepts))
+            positives = [(u, int(gen.integers(n_concepts))) for u in users]
+            want = reference(positives, clicked, n_concepts, 7, np.random.default_rng(case))
+            got = build_trials(positives, clicked, n_concepts, 7, np.random.default_rng(case))
+            assert len(got) == len(want)
+            for spec, (user, positive, candidates) in zip(got, want):
+                assert (spec.user, spec.positive) == (user, positive)
+                assert spec.candidates.dtype == candidates.dtype
+                assert np.array_equal(spec.candidates, candidates)
+
     def test_trials_fixed_across_scorers(self):
         users = [NodeRef(U, i) for i in range(50)]
         positives = [(u, (i * 3) % 100) for i, u in enumerate(users)]
