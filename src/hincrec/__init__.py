@@ -21,7 +21,6 @@ from .policy import (
     PolicyParams,
     action_distribution,
     select_action,
-    shrink,
 )
 from .model import ModelParams, init_model
 from .training import (

@@ -26,7 +26,7 @@ from .data import (
     temporal_split,
 )
 from .embedding import EmbedConfig
-from .graph import NodeRef, NodeType, Relation, SchemaViolation
+from .graph import HinGraph, NodeRef, NodeType, Relation, SchemaViolation
 from .metapath import PathCorpus, builtin_metapaths
 from .metrics import PolicyScorer, PopularityScorer, RandomScorer, evaluate
 from .model import ModelParams, init_model
@@ -151,6 +151,21 @@ def _train_config(path: Optional[str]) -> TrainConfig:
     return load_train_config(path) if path else TrainConfig()
 
 
+def _load_model(ckpt: str, graph: HinGraph) -> ModelParams:
+    """The checkpoint at `ckpt`, refused unless its feature tables and its
+    concept scores have one row per node of `graph`."""
+    model = ModelParams.load(ckpt)
+    tables = [(nt, model.embed.tensors[f"feat.{nt.value}"]) for nt in NodeType]
+    tables.append((NodeType.CONCEPT, model.policy.tensors["policy.scores"]))
+    for nt, table in tables:
+        if table.shape[0] != graph.node_count(nt):
+            raise ConfigError(
+                f"checkpoint {ckpt} was trained on {table.shape[0]} {nt.value} nodes, "
+                f"the dataset has {graph.node_count(nt)}"
+            )
+    return model
+
+
 def _effective_cutoff(ds: Dataset, cutoff: Optional[int]) -> int:
     if cutoff is not None:
         return cutoff
@@ -234,7 +249,7 @@ def _cmd_pretrain(args) -> int:
 def _cmd_train(args) -> int:
     cfg, env, model, rng = _prepare_training(args)
     if args.init:
-        model = ModelParams.load(args.init)
+        model = _load_model(args.init, env.graph)
     elif not args.from_scratch:
         pretrain(
             model,
@@ -276,7 +291,7 @@ def _cmd_eval(args) -> int:
     if args.scorer == "model":
         if not args.ckpt:
             raise ConfigError("--ckpt is required for the model scorer")
-        model = ModelParams.load(args.ckpt)
+        model = _load_model(args.ckpt, split.train.graph)
         rng = np.random.default_rng(seed)
         test_users = sorted(
             {user for user, _ in split.test_positives}, key=lambda r: r.index
@@ -289,7 +304,7 @@ def _cmd_eval(args) -> int:
             max_len=cfg.l,
             rng=rng,
         )
-        scorer = PolicyScorer(model, split.train.graph, corpus, rng=rng)
+        scorer = PolicyScorer(model, split.train.graph, corpus)
     elif args.scorer == "random":
         scorer = RandomScorer(seed)
     else:
@@ -313,7 +328,7 @@ def _cmd_recommend(args) -> int:
     graph = ds.graph
     if args.cutoff is not None:
         graph = temporal_split(ds, args.cutoff).train.graph
-    model = ModelParams.load(args.ckpt)
+    model = _load_model(args.ckpt, graph)
     user = ds.ids.ref(args.user)
     if user.type != NodeType.USER:
         raise ConfigError(f"{args.user!r} is not a user id")
@@ -321,7 +336,7 @@ def _cmd_recommend(args) -> int:
     corpus = PathCorpus.build(
         graph, [user], model.embed.metapaths, n=cfg.N, max_len=cfg.l, rng=rng
     )
-    scorer = PolicyScorer(model, graph, corpus, rng=rng)
+    scorer = PolicyScorer(model, graph, corpus)
     logits = scorer.logits(user)
     already = {ref.index for ref in graph.neighbors(user, Relation.CLICK)}
     order = sorted(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Union
+from typing import Union, get_type_hints
 
 from .synth import SynthConfig
 
@@ -31,35 +31,9 @@ class TrainConfig:
     pretrain_episodes: int = 10_000
 
 
-# File keys as written by users; "lambda" is a keyword so it maps to lam.
-_TRAIN_KEYS = {
-    "seed": "seed",
-    "d": "d",
-    "L": "L",
-    "N": "N",
-    "l": "l",
-    "E": "E",
-    "T": "T",
-    "gamma": "gamma",
-    "epsilon": "epsilon",
-    "lambda": "lam",
-    "lr_pretrain": "lr_pretrain",
-    "lr_rl": "lr_rl",
-    "batch": "batch",
-    "pretrain_episodes": "pretrain_episodes",
-}
-
-_SYNTH_KEYS = {
-    "users": "users",
-    "concepts": "concepts",
-    "clusters": "clusters",
-    "courses": "courses",
-    "videos": "videos",
-    "p_in": "p_in",
-    "p_out": "p_out",
-    "clicks": "clicks_per_user",
-    "seed": "seed",
-}
+# Fields whose file key differs from the field name ("lambda" is a Python
+# keyword); the field name itself is not accepted for them.
+_FILE_KEY = {"lam": "lambda", "clicks_per_user": "clicks"}
 
 
 def _parse_kv(path: Union[str, Path]) -> dict[str, str]:
@@ -76,36 +50,30 @@ def _parse_kv(path: Union[str, Path]) -> dict[str, str]:
     return pairs
 
 
-def _coerce(cls, field_name: str, text: str, path, key: str):
-    target = next(f.type for f in fields(cls) if f.name == field_name)
-    caster = float if target == "float" else int
-    try:
-        return caster(text)
-    except ValueError:
-        raise ConfigError(f"{path}: bad value {text!r} for key {key!r}") from None
+def _load(cls, path: Union[str, Path], kind: str):
+    """A `cls` dataclass with the file's values cast to each field's type:
+    float for float fields, int for every other (``Optional[int]`` too)."""
+    hints = get_type_hints(cls)
+    keys = {_FILE_KEY.get(f.name, f.name): f.name for f in fields(cls)}
+    cfg = cls()
+    for key, text in _parse_kv(path).items():
+        name = keys.get(key)
+        if name is None:
+            raise ConfigError(f"{path}: unknown {kind} key {key!r}")
+        caster = float if hints[name] is float else int
+        try:
+            setattr(cfg, name, caster(text))
+        except ValueError:
+            raise ConfigError(f"{path}: bad value {text!r} for key {key!r}") from None
+    return cfg
 
 
 def load_train_config(path: Union[str, Path]) -> TrainConfig:
-    cfg = TrainConfig()
-    for key, text in _parse_kv(path).items():
-        field_name = _TRAIN_KEYS.get(key)
-        if field_name is None:
-            raise ConfigError(f"{path}: unknown training key {key!r}")
-        setattr(cfg, field_name, _coerce(TrainConfig, field_name, text, path, key))
+    cfg = _load(TrainConfig, path, "training")
     if cfg.d % cfg.L != 0:
         raise ConfigError(f"{path}: L ({cfg.L}) must divide d ({cfg.d})")
     return cfg
 
 
 def load_synth_config(path: Union[str, Path]) -> SynthConfig:
-    cfg = SynthConfig()
-    for key, text in _parse_kv(path).items():
-        field_name = _SYNTH_KEYS.get(key)
-        if field_name is None:
-            raise ConfigError(f"{path}: unknown generator key {key!r}")
-        caster = float if field_name in ("p_in", "p_out") else int
-        try:
-            setattr(cfg, field_name, caster(text))
-        except ValueError:
-            raise ConfigError(f"{path}: bad value {text!r} for key {key!r}") from None
-    return cfg
+    return _load(SynthConfig, path, "generator")

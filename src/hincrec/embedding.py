@@ -9,7 +9,7 @@ single user vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
@@ -25,12 +25,6 @@ class EmbedConfig:
     feat_dim: int = 32         # per-type learnable feature width
     path_hidden: int = 128     # hidden size of the path-level scorer
     leaky_slope: float = 0.2
-    # Score each sampled instance on its own and average the path-level
-    # scores; the fused embedding still aggregates the bag union.
-    average_path_scores: bool = False
-    # No effect: the neighborhood is the bag union, so there is no instance
-    # to choose. Kept for checkpoint compatibility.
-    freeze_instance_choice: bool = False
 
     def __post_init__(self) -> None:
         if self.dim % self.heads != 0:
@@ -82,12 +76,21 @@ class EmbedParams:
         t["path.q"] = rng.normal(0.0, 1.0 / np.sqrt(cfg.path_hidden), (cfg.path_hidden,))
         self.tensors = t
 
+    @classmethod
+    def from_tensors(
+        cls, cfg: EmbedConfig, metapaths: Iterable[MetaPath], tensors: dict[str, np.ndarray]
+    ) -> "EmbedParams":
+        """Parameters holding `tensors` as given, without drawing any."""
+        params = cls.__new__(cls)
+        params.cfg = cfg
+        params.metapaths = list(metapaths)
+        params.tensors = tensors
+        return params
+
     def copy(self) -> "EmbedParams":
-        clone = object.__new__(EmbedParams)
-        clone.cfg = self.cfg
-        clone.metapaths = list(self.metapaths)
-        clone.tensors = {k: v.copy() for k, v in self.tensors.items()}
-        return clone
+        return EmbedParams.from_tensors(
+            self.cfg, self.metapaths, {k: v.copy() for k, v in self.tensors.items()}
+        )
 
 
 def _project(
@@ -153,41 +156,17 @@ def build_user_embedding(
     params: EmbedParams,
     corpus: PathCorpus,
     user: NodeRef,
-    rng: Optional[np.random.Generator] = None,
 ) -> tuple[Var, Var]:
     """Returns (user vector Var, per-meta-path beta Var).
 
     Per meta-path, the union of the user's sampled walks (see
     ``metapath_neighbors``) is the neighborhood that is aggregated and
-    fused. With ``average_path_scores`` the path-level score is instead
-    averaged over an aggregation of each instance in the bag on its own,
-    while the fused embedding still uses the union. The result is a
-    deterministic function of (params, corpus); ``rng`` draws nothing.
+    fused. The result is a deterministic function of (params, corpus).
     """
     mps = params.metapaths
     hoods = [metapath_neighbors(corpus, user, mp) for mp in mps]
-    if not params.cfg.average_path_scores:
-        per_path = _path_embeddings(tape, leaves, params, user, hoods, mps)
-        scores = _path_scores(tape, leaves, per_path)
-    else:
-        # Rows after the unions hold one instance each; a path's score is
-        # the mean of its instances' scores.
-        owner: list[int] = []
-        inst_hoods: list[list[NodeRef]] = []
-        for p, mp in enumerate(mps):
-            for inst in corpus.bag(user, mp.id) or [[user]]:
-                owner.append(p)
-                inst_hoods.append(distinct_nodes(user, [inst]))
-        rows = _path_embeddings(
-            tape, leaves, params, user, hoods + inst_hoods, mps + [mps[p] for p in owner]
-        )
-        n, m = len(mps), len(owner)
-        per_path = tape.gather_rows(rows, range(n))
-        inst_scores = _path_scores(tape, leaves, tape.gather_rows(rows, range(n, n + m)))
-        mean = np.zeros((n, m))
-        mean[owner, np.arange(m)] = 1.0
-        scores = tape.matvec(mean / mean.sum(axis=1, keepdims=True), inst_scores)
-    beta = tape.softmax(scores)
+    per_path = _path_embeddings(tape, leaves, params, user, hoods, mps)
+    beta = tape.softmax(_path_scores(tape, leaves, per_path))
     return tape.matvec_t(per_path, beta), beta
 
 
@@ -228,12 +207,9 @@ def node_aggregate(
     node: NodeRef,
     mp: MetaPath,
     corpus: PathCorpus,
-    rng: Optional[np.random.Generator] = None,
 ) -> np.ndarray:
-    """Concatenated multi-head aggregation along one meta-path.
-
-    Aggregates over the bag union; ``rng`` draws nothing.
-    """
+    """Concatenated multi-head aggregation along one meta-path, over the
+    union of the node's sampled walks."""
     tape = Tape(record=False)
     hood = metapath_neighbors(corpus, node, mp)
     return _path_embeddings(
@@ -255,14 +231,13 @@ def user_embedding(
     graph: HinGraph,
     corpus: PathCorpus,
     user: NodeRef,
-    rng: Optional[np.random.Generator] = None,
 ) -> UserEmbedding:
     """Fused user embedding over all configured meta-paths.
 
-    Deterministic given (params, corpus); ``rng`` draws nothing.
+    Deterministic given (params, corpus).
     """
     graph._check_node(user)
     tape = Tape(record=False)
     leaves = _const_leaves(tape, params)
-    vec, beta = build_user_embedding(tape, leaves, params, corpus, user, rng=rng)
+    vec, beta = build_user_embedding(tape, leaves, params, corpus, user)
     return UserEmbedding(vector=vec.value, beta=beta.value)

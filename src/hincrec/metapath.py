@@ -192,20 +192,13 @@ class PathCorpus:
         return corpus
 
 
-def metapath_neighbors(
-    corpus: PathCorpus,
-    user: NodeRef,
-    mp: MetaPath,
-    rng: Optional[np.random.Generator] = None,
-    freeze: bool = False,
-) -> list[NodeRef]:
+def metapath_neighbors(corpus: PathCorpus, user: NodeRef, mp: MetaPath) -> list[NodeRef]:
     """The user's meta-path-based neighborhood: the user first, then the
     distinct nodes of every walk in the bag, in first-seen order.
 
     This is the set of nodes that the sampled instances of `mp` reach
     (HAN-style), not a single walk, so it is a deterministic function of
-    the corpus. An empty bag falls back to the user alone. `rng` and
-    `freeze` choose nothing and are accepted only for older callers.
+    the corpus. An empty bag falls back to the user alone.
     """
     return distinct_nodes(user, corpus.bag(user, mp.id))
 

@@ -216,16 +216,10 @@ class PolicyScorer:
     once per user and cached; candidate scores are the policy logits.
     Each user's embedding attends over the union of its sampled walks, so
     the cached logits do not depend on the order in which users are
-    scored. ``rng`` draws nothing and is accepted only for older callers.
+    scored.
     """
 
-    def __init__(
-        self,
-        model: ModelParams,
-        graph: HinGraph,
-        corpus: PathCorpus,
-        rng: Optional[np.random.Generator] = None,
-    ):
+    def __init__(self, model: ModelParams, graph: HinGraph, corpus: PathCorpus):
         self.model = model
         self.graph = graph
         self.corpus = corpus

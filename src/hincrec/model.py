@@ -37,65 +37,43 @@ class ModelParams:
     # -- checkpoint IO ---------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
-        cfg = self.embed.cfg
         meta = {
             "meta.metapaths": np.array([mp.id for mp in self.embed.metapaths], float),
-            "meta.leaky_slope": np.array(cfg.leaky_slope),
-            "meta.flags": np.array(
-                [
-                    float(cfg.average_path_scores),
-                    float(cfg.freeze_instance_choice),
-                    float(self.policy.tied),
-                ]
-            ),
+            "meta.leaky_slope": np.array(self.embed.cfg.leaky_slope),
         }
         save_tensors(path, {**self.tensors, **meta})
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ModelParams":
         tensors = load_tensors(path)
+        # Older files carry three variant flags; every one written by the
+        # CLI holds zeros, the only model this version has.
+        flags = tensors.pop("meta.flags", None)
+        if flags is not None and np.any(flags != 0):
+            raise CheckpointError(
+                f"checkpoint {path} is for a model variant that is no longer "
+                f"supported (meta.flags = {flags.tolist()})"
+            )
         try:
             mp_ids = [int(i) for i in np.atleast_1d(tensors.pop("meta.metapaths"))]
             slope = float(tensors.pop("meta.leaky_slope"))
-            avg_flag, freeze_flag, tied_flag = (
-                bool(v) for v in np.atleast_1d(tensors.pop("meta.flags"))
-            )
             by_id = {mp.id: mp for mp in builtin_metapaths()}
             metapaths = [by_id[i] for i in mp_ids]
-            attn0 = tensors[f"attn.mp{mp_ids[0]}"]
-            heads, two_f1 = attn0.shape
-            dim = heads * (two_f1 // 2)
-            feat_dim = tensors["feat.user"].shape[1]
-            path_hidden = tensors["path.W"].shape[0]
+            heads, two_f1 = tensors[f"attn.mp{mp_ids[0]}"].shape
+            cfg = EmbedConfig(
+                dim=heads * (two_f1 // 2),
+                heads=heads,
+                feat_dim=tensors["feat.user"].shape[1],
+                path_hidden=tensors["path.W"].shape[0],
+                leaky_slope=slope,
+            )
+            policy = {k: tensors.pop(k) for k in ("policy.scores", "policy.bias")}
         except (KeyError, IndexError, ValueError) as exc:
             raise CheckpointError(f"checkpoint {path} is missing tensors: {exc}") from exc
-
-        cfg = EmbedConfig(
-            dim=dim,
-            heads=heads,
-            feat_dim=feat_dim,
-            path_hidden=path_hidden,
-            leaky_slope=slope,
-            average_path_scores=avg_flag,
-            freeze_instance_choice=freeze_flag,
+        return cls(
+            EmbedParams.from_tensors(cfg, metapaths, tensors),
+            PolicyParams.from_tensors(policy),
         )
-        embed = object.__new__(EmbedParams)
-        embed.cfg = cfg
-        embed.metapaths = metapaths
-        embed.tensors = {
-            k: v for k, v in tensors.items() if not k.startswith("policy.")
-        }
-
-        if tied_flag:
-            n_concepts = tensors["feat.concept"].shape[0]
-        else:
-            n_concepts = tensors["policy.scores"].shape[0]
-        policy = object.__new__(PolicyParams)
-        policy.n_concepts = n_concepts
-        policy.dim = dim
-        policy.tied = tied_flag
-        policy.tensors = {k: v for k, v in tensors.items() if k.startswith("policy.")}
-        return cls(embed, policy)
 
 
 def init_model(
@@ -103,10 +81,8 @@ def init_model(
     metapaths: Optional[list[MetaPath]] = None,
     embed_cfg: Optional[EmbedConfig] = None,
     rng: Optional[np.random.Generator] = None,
-    use_bias: bool = True,
-    tie_concept_features: bool = False,
 ) -> ModelParams:
-    """Fresh parameters sized for `graph`."""
+    """Fresh parameters sized for `graph`; only the embedding draws from `rng`."""
     if metapaths is None:
         metapaths = builtin_metapaths()
     if embed_cfg is None:
@@ -114,12 +90,5 @@ def init_model(
     if rng is None:
         rng = np.random.default_rng()
     embed = EmbedParams(embed_cfg, graph.node_counts, metapaths, rng)
-    policy = PolicyParams(
-        graph.node_count(NodeType.CONCEPT),
-        embed_cfg.dim,
-        use_bias=use_bias,
-        tie_concept_features=tie_concept_features,
-        feat_dim=embed_cfg.feat_dim,
-        rng=rng,
-    )
+    policy = PolicyParams(graph.node_count(NodeType.CONCEPT), embed_cfg.dim)
     return ModelParams(embed, policy)

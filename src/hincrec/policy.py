@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -59,49 +59,29 @@ class ActionSet:
         return self.mask.shape[0]
 
 
-def shrink(actions: ActionSet, action: int) -> ActionSet:
-    return actions.shrink(action)
-
-
 class PolicyParams:
-    """Linear concept scorer: logits = scores @ u + bias.
+    """Linear concept scorer: logits = scores @ u + bias, with ``policy.scores``
+    of shape (K, dim) and ``policy.bias`` of shape (K,)."""
 
-    With ``tie_concept_features`` the score table is derived from the
-    graph-side concept feature table through a learned projection instead
-    of being a free tensor.
-    """
+    def __init__(self, n_concepts: int, dim: int):
+        self.tensors = {
+            "policy.scores": np.zeros((n_concepts, dim)),
+            "policy.bias": np.zeros(n_concepts),
+        }
 
-    def __init__(
-        self,
-        n_concepts: int,
-        dim: int,
-        use_bias: bool = True,
-        tie_concept_features: bool = False,
-        feat_dim: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
-    ):
-        self.n_concepts = n_concepts
-        self.dim = dim
-        self.tied = tie_concept_features
-        t: dict[str, np.ndarray] = {}
-        if tie_concept_features:
-            if feat_dim is None:
-                raise ValueError("tied policy needs the concept feature width")
-            gen = rng if rng is not None else np.random.default_rng()
-            t["policy.tie_proj"] = gen.normal(0.0, 1.0 / np.sqrt(feat_dim), (dim, feat_dim))
-        else:
-            t["policy.scores"] = np.zeros((n_concepts, dim))
-        if use_bias:
-            t["policy.bias"] = np.zeros(n_concepts)
-        self.tensors = t
+    @classmethod
+    def from_tensors(cls, tensors: dict[str, np.ndarray]) -> "PolicyParams":
+        """Parameters holding `tensors` as given."""
+        params = cls.__new__(cls)
+        params.tensors = tensors
+        return params
+
+    @property
+    def n_concepts(self) -> int:
+        return self.tensors["policy.scores"].shape[0]
 
     def copy(self) -> "PolicyParams":
-        clone = object.__new__(PolicyParams)
-        clone.n_concepts = self.n_concepts
-        clone.dim = self.dim
-        clone.tied = self.tied
-        clone.tensors = {k: v.copy() for k, v in self.tensors.items()}
-        return clone
+        return PolicyParams.from_tensors({k: v.copy() for k, v in self.tensors.items()})
 
 
 def policy_logits(
@@ -110,16 +90,8 @@ def policy_logits(
     policy: PolicyParams,
     u: Var,
 ) -> Var:
-    """Concept logits for user vector `u`: scores @ u + bias, where a tied
-    policy's score table is feat.concept @ tie_proj.T."""
-    if policy.tied:
-        folded = tape.matvec_t(leaves["policy.tie_proj"], u)
-        z = tape.matvec(leaves["feat.concept"], folded)
-    else:
-        z = tape.matvec(leaves["policy.scores"], u)
-    if "policy.bias" in leaves:
-        z = tape.vecadd(z, leaves["policy.bias"])
-    return z
+    """Concept logits for user vector `u`: scores @ u + bias."""
+    return tape.vecadd(tape.matvec(leaves["policy.scores"], u), leaves["policy.bias"])
 
 
 def build_action_distribution(
@@ -139,16 +111,11 @@ def action_distribution(
     policy: PolicyParams,
     u: Union[UserEmbedding, np.ndarray],
     actions: ActionSet,
-    concept_features: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Probability vector over all K concepts; masked entries are exactly 0."""
     vec = u.vector if isinstance(u, UserEmbedding) else np.asarray(u, dtype=float)
     tape = Tape(record=False)
     leaves = {k: tape.leaf(v) for k, v in policy.tensors.items()}
-    if policy.tied:
-        if concept_features is None:
-            raise ValueError("tied policy needs the concept feature table")
-        leaves["feat.concept"] = tape.leaf(concept_features)
     return build_action_distribution(tape, leaves, policy, tape.leaf(vec), actions).value
 
 

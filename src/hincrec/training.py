@@ -218,7 +218,7 @@ def play_episode(
     leaves = model.leaves(tape)
     saved_bags = env.corpus.snapshot_user(user)
     added: list[tuple[NodeRef, NodeRef]] = []
-    u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user, rng=rng)
+    u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
     embed_count = 1
     actions = ActionSet.full(env.n_concepts)
     steps: list[StepRecord] = []
@@ -241,9 +241,7 @@ def play_episode(
                 max_len=env.max_walk_len,
                 rng=rng,
             )
-            u_var, _ = build_user_embedding(
-                tape, leaves, model.embed, env.corpus, user, rng=rng
-            )
+            u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
             embed_count += 1
         if reward < 0 or t >= horizon or actions.count() == 0:
             break
@@ -309,9 +307,7 @@ def pretrain(
         total = None
         for _ in range(batch):
             user, target = instances[int(rng.integers(len(instances)))]
-            u_var, _ = build_user_embedding(
-                tape, leaves, model.embed, env.corpus, user, rng=rng
-            )
+            u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
             dist = build_action_distribution(
                 tape, leaves, model.policy, u_var, full_actions
             )

@@ -88,7 +88,7 @@ def report_for(model, split, ds, metapaths, seed=EVAL_SEED):
     corpus = PathCorpus.build(
         split.train.graph, test_users, metapaths, n=10, max_len=5, rng=rng
     )
-    scorer = PolicyScorer(model, split.train.graph, corpus, rng=rng)
+    scorer = PolicyScorer(model, split.train.graph, corpus)
     return evaluate(
         scorer,
         split.test_positives,
@@ -170,7 +170,7 @@ def test_criterion_1_gradient_fidelity():
             saved = env.corpus.snapshot_user(user)
             added = []
             u_var, _ = build_user_embedding(
-                tape, leaves, model.embed, env.corpus, user, rng=walk_rng
+                tape, leaves, model.embed, env.corpus, user
             )
             avail = ActionSet.full(env.n_concepts)
             pg = None
@@ -189,7 +189,7 @@ def test_criterion_1_gradient_fidelity():
                         added.append(concept)
                     env.corpus.resample_user(env.graph, user, n=4, max_len=5, rng=walk_rng)
                     u_var, _ = build_user_embedding(
-                        tape, leaves, model.embed, env.corpus, user, rng=walk_rng
+                        tape, leaves, model.embed, env.corpus, user
                     )
             for concept in added:
                 env.graph.remove_edge(user, concept, Relation.CLICK)
@@ -236,12 +236,12 @@ def test_criterion_2_normalization():
                 params.tensors[key] *= float(1.0 + 4.0 * draw_rng.random())
             user = NodeRef(U, int(draw_rng.integers(10)))
             for mp in mps:
-                nbrs = metapath_neighbors(corpus, user, mp, rng=draw_rng)
+                nbrs = metapath_neighbors(corpus, user, mp)
                 for head in range(params.cfg.heads):
                     alpha = node_attention(params, user, nbrs, mp, head)
                     if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):
                         failures += 1
-            emb = user_embedding(params, ds.graph, corpus, user, rng=draw_rng)
+            emb = user_embedding(params, ds.graph, corpus, user)
             if abs(emb.beta.sum() - 1.0) > 1e-9 or np.any(emb.beta < 0):
                 failures += 1
         assert failures == 0
@@ -364,7 +364,7 @@ def test_criterion_5_mdp_contracts():
         )
         before_edges = g.edge_count()
         before_emb = user_embedding(
-            params.embed, g, env2.corpus, users[0], rng=np.random.default_rng(5)
+            params.embed, g, env2.corpus, users[0]
         )
         from hincrec.training import step
 
@@ -373,7 +373,7 @@ def test_criterion_5_mdp_contracts():
         assert g.edge_count() == before_edges + 1
         env2.corpus.resample_user(g, users[0], n=5, rng=np.random.default_rng(6))
         after_emb = user_embedding(
-            params.embed, g, env2.corpus, users[0], rng=np.random.default_rng(5)
+            params.embed, g, env2.corpus, users[0]
         )
         assert np.linalg.norm(after_emb.vector - before_emb.vector) > 0
 

@@ -185,3 +185,37 @@ def test_bad_config_exits_2(workspace, capsys):
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "hincrec" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("users, concepts", [(10, 8), (40, 16)])
+def test_checkpoint_refuses_other_dataset(workspace, capsys, users, concepts):
+    ckpt = workspace / "sl.bin"
+    assert main(
+        [
+            "pretrain",
+            "--config", str(workspace / "run.cfg"),
+            "--data", str(workspace / "data"),
+            "--ckpt", str(ckpt),
+            "--cutoff", str(CUTOFF),
+        ]
+    ) == 0
+    other_cfg = workspace / "other.cfg"
+    other_cfg.write_text(
+        SYNTH_CFG.replace("users = 24", f"users = {users}")
+        .replace("concepts = 12", f"concepts = {concepts}"),
+        encoding="utf-8",
+    )
+    other = str(workspace / "other")
+    assert main(["gen", "--config", str(other_cfg), "--out", other]) == 0
+    capsys.readouterr()
+
+    for argv in (
+        ["eval", "--ckpt", str(ckpt), "--data", other, "--cutoff", str(CUTOFF)],
+        ["recommend", "--ckpt", str(ckpt), "--data", other, "--user", "u0"],
+        ["train", "--config", str(workspace / "run.cfg"), "--data", other,
+         "--ckpt", str(workspace / "rl.bin"), "--init", str(ckpt)],
+    ):
+        assert main(argv) == 2, argv[0]
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"trained on 24 user nodes, the dataset has {users}" in err

@@ -91,3 +91,29 @@ def test_synth_unknown_key(tmp_path):
     path.write_text("branches = 3\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_synth_config(path)
+
+
+def test_synth_optional_counts_parse_as_int(tmp_path):
+    path = tmp_path / "synth.cfg"
+    path.write_text("courses = 6\nvideos = 12\n", encoding="utf-8")
+    cfg = load_synth_config(path)
+    assert cfg.courses == 6 and type(cfg.courses) is int
+    assert cfg.videos == 12 and type(cfg.videos) is int
+
+
+def test_synth_int_key_rejects_fraction(tmp_path):
+    path = tmp_path / "synth.cfg"
+    path.write_text("users = 2.5\n", encoding="utf-8")
+    with pytest.raises(ConfigError):
+        load_synth_config(path)
+
+
+@pytest.mark.parametrize(
+    "loader, line",
+    [(load_train_config, "lam = 0.1\n"), (load_synth_config, "clicks_per_user = 5\n")],
+)
+def test_field_name_of_aliased_key_rejected(tmp_path, loader, line):
+    path = tmp_path / "x.cfg"
+    path.write_text(line, encoding="utf-8")
+    with pytest.raises(ConfigError, match="unknown"):
+        loader(path)

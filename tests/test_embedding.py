@@ -198,9 +198,8 @@ class TestUserEmbedding:
             k: v for k, v in params.tensors.items() if not k.startswith("attn.") or k == "attn.mp1"
         }
         corpus = PathCorpus.build(g, users, params.metapaths, n=4, rng=np.random.default_rng(0))
-        emb = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(1))
-        agg = node_aggregate(params, users[0], params.metapaths[0], corpus,
-                             rng=np.random.default_rng(2))
+        emb = user_embedding(params, g, corpus, users[0])
+        agg = node_aggregate(params, users[0], params.metapaths[0], corpus)
         assert np.allclose(emb.beta, [1.0])
         assert np.allclose(emb.vector, agg)
 
@@ -213,7 +212,7 @@ class TestUserEmbedding:
         params = tiny_params(counts=g.node_counts)
         corpus = PathCorpus.build(g, [user], params.metapaths, n=3,
                                   rng=np.random.default_rng(0))
-        emb = user_embedding(params, g, corpus, user, rng=np.random.default_rng(3))
+        emb = user_embedding(params, g, corpus, user)
         per_path = node_aggregate(params, user, params.metapaths[0], corpus)
         assert np.allclose(emb.vector, per_path, atol=1e-12)
         assert abs(emb.beta.sum() - 1.0) < 1e-9
@@ -222,33 +221,33 @@ class TestUserEmbedding:
         g, users, concepts, params = build_line_world()
         corpus = PathCorpus.build(g, users, params.metapaths, n=4,
                                   rng=np.random.default_rng(0))
-        before = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(5))
+        before = user_embedding(params, g, corpus, users[0])
         # wire U0 into the line so MP1 walks U0-K0-U1 become reachable
         assert g.add_edge(users[0], concepts[0], Relation.CLICK)
         corpus.resample_user(g, users[0], n=4, rng=np.random.default_rng(6))
-        after = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(5))
+        after = user_embedding(params, g, corpus, users[0])
         assert np.linalg.norm(after.vector - before.vector) > 0
 
     def test_deterministic_given_seed(self):
         g, users, _, params = build_line_world()
         corpus = PathCorpus.build(g, users, params.metapaths, n=4,
                                   rng=np.random.default_rng(0))
-        a = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(7))
-        b = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(7))
+        a = user_embedding(params, g, corpus, users[0])
+        b = user_embedding(params, g, corpus, users[0])
         assert np.array_equal(a.vector, b.vector)
         assert np.array_equal(a.beta, b.beta)
 
     def test_independent_of_rng(self):
         # U0's bags hold walks with different node sets, so a per-call walk
-        # draw would make the embedding depend on the rng
+        # draw would make two calls disagree
         g, users, concepts, params = build_line_world()
         g.add_edge(users[0], concepts[0], Relation.CLICK, ts=3)
         corpus = PathCorpus.build(g, users, params.metapaths, n=6,
                                   rng=np.random.default_rng(0))
         mp2_sets = {frozenset(w) for w in corpus.bag(users[0], 2)}
         assert len(mp2_sets) > 1
-        a = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(1))
-        b = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(2))
+        a = user_embedding(params, g, corpus, users[0])
+        b = user_embedding(params, g, corpus, users[0])
         assert np.array_equal(a.vector, b.vector)
         assert np.array_equal(a.beta, b.beta)
 
@@ -263,8 +262,8 @@ class TestUserEmbedding:
         )
         corpus = PathCorpus.build(g, users, builtin_metapaths(), n=6,
                                   rng=np.random.default_rng(0))
-        forward = PolicyScorer(model, g, corpus, rng=np.random.default_rng(4))
-        backward = PolicyScorer(model, g, corpus, rng=np.random.default_rng(4))
+        forward = PolicyScorer(model, g, corpus)
+        backward = PolicyScorer(model, g, corpus)
         got_fwd = [forward.logits(u) for u in users]
         got_bwd = [backward.logits(u) for u in reversed(users)][::-1]
         for f, b in zip(got_fwd, got_bwd):
@@ -274,15 +273,8 @@ class TestUserEmbedding:
         g, users, _, params = build_line_world(dim=8, heads=4, feat_dim=3)
         corpus = PathCorpus.build(g, users, params.metapaths, n=2,
                                   rng=np.random.default_rng(0))
-        emb = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(1))
+        emb = user_embedding(params, g, corpus, users[0])
         assert emb.vector.shape == (8,)
-
-    def test_average_path_scores_flag(self):
-        g, users, _, params = build_line_world(average_path_scores=True)
-        corpus = PathCorpus.build(g, users, params.metapaths, n=3,
-                                  rng=np.random.default_rng(0))
-        emb = user_embedding(params, g, corpus, users[0], rng=np.random.default_rng(2))
-        assert abs(emb.beta.sum() - 1.0) < 1e-9
 
     def test_heads_must_divide_dim(self):
         with pytest.raises(ValueError):
@@ -298,9 +290,7 @@ class TestEmbeddingGradients:
                                   rng=np.random.default_rng(1))
 
         def f(tape, leaves):
-            u, _ = build_user_embedding(
-                tape, leaves, params, corpus, users[0], rng=np.random.default_rng(11)
-            )
+            u, _ = build_user_embedding(tape, leaves, params, corpus, users[0])
             return tape.scale(tape.dot(u, u), 0.5)
 
         err = grad_check(f, params.tensors, eps=1e-5)
@@ -345,12 +335,10 @@ def embedding_loss(tape, leaves, params, corpus, user, build):
 
 
 class TestFusedMatchesUnfused:
-    @pytest.mark.parametrize("average", [False, True])
-    def test_every_training_user(self, acceptance_world, average):
+    def test_every_training_user(self, acceptance_world):
         env, graph = acceptance_world
         params = EmbedParams(
-            EmbedConfig(average_path_scores=average), graph.node_counts,
-            builtin_metapaths(), np.random.default_rng(3),
+            EmbedConfig(), graph.node_counts, builtin_metapaths(), np.random.default_rng(3)
         )
         for user in env.users:
             got = []
@@ -388,11 +376,10 @@ class TestFusedMatchesUnfused:
 
 
 class TestPolicyScorerLogits:
-    @pytest.mark.parametrize("tied", [False, True])
-    def test_equal_to_tape_logits(self, acceptance_world, tied):
+    def test_equal_to_tape_logits(self, acceptance_world):
         env, graph = acceptance_world
         model = init_model(graph, builtin_metapaths(), EmbedConfig(),
-                           rng=np.random.default_rng(2), tie_concept_features=tied)
+                           rng=np.random.default_rng(2))
         rng = np.random.default_rng(5)
         for arr in model.policy.tensors.values():
             arr[...] = rng.normal(size=arr.shape)

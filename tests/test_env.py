@@ -96,14 +96,13 @@ class TestReturns:
             discounted_returns([1.0], 1.5)
 
 
-def scripted_episode(model, env, user, actions_rewards, gamma=0.9, rng_seed=11):
+def scripted_episode(model, env, user, actions_rewards, gamma=0.9):
     """Record an episode with a forced action sequence (graph untouched)."""
     from hincrec.embedding import build_user_embedding
 
     tape = Tape()
     leaves = model.leaves(tape)
-    rng = np.random.default_rng(rng_seed)
-    u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user, rng=rng)
+    u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
     actions = ActionSet.full(env.n_concepts)
     steps = []
     for action, reward in actions_rewards:
@@ -131,9 +130,7 @@ def numeric_grad_of_logp(model, env, user, action, eps=1e-5):
     def value():
         tape = Tape(record=False)
         leaves = model.leaves(tape)
-        u_var, _ = build_user_embedding(
-            tape, leaves, model.embed, env.corpus, user, rng=np.random.default_rng(11)
-        )
+        u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
         dist = build_action_distribution(
             tape, leaves, model.policy, u_var, ActionSet.full(env.n_concepts)
         )

@@ -130,7 +130,7 @@ class TestNeighbors:
         mp1 = builtin_metapaths()[0]
         corpus = PathCorpus(builtin_metapaths())
         corpus._bags[(users[0], 1)] = [[users[0], k0, users[1]]]
-        nbrs = metapath_neighbors(corpus, users[0], mp1, rng=np.random.default_rng(0))
+        nbrs = metapath_neighbors(corpus, users[0], mp1)
         assert nbrs == [users[0], k0, users[1]]
 
     def test_empty_bag_self_only(self):
@@ -144,11 +144,11 @@ class TestNeighbors:
         mps = builtin_metapaths()
         corpus = PathCorpus.build(g, users, mps, n=3, rng=np.random.default_rng(5))
         seq_a = [
-            metapath_neighbors(corpus, users[0], mps[0], rng=np.random.default_rng(9))
+            metapath_neighbors(corpus, users[0], mps[0])
             for _ in range(6)
         ]
         seq_b = [
-            metapath_neighbors(corpus, users[0], mps[0], rng=np.random.default_rng(9))
+            metapath_neighbors(corpus, users[0], mps[0])
             for _ in range(6)
         ]
         assert seq_a == seq_b
@@ -158,13 +158,13 @@ class TestNeighbors:
         mps = builtin_metapaths()
         corpus = PathCorpus.build(g, users, mps, n=8, rng=np.random.default_rng(2))
         for mp in mps:
-            nbrs = metapath_neighbors(corpus, users[0], mp, rng=np.random.default_rng(1))
+            nbrs = metapath_neighbors(corpus, users[0], mp)
             assert nbrs[0] == users[0]
             assert len(set(nbrs)) == len(nbrs)
 
     def test_union_of_all_walks_in_first_seen_order(self, fan_graph):
         # three overlapping MP1 walks; the neighborhood is their union,
-        # not one drawn walk, whatever rng is passed
+        # not one drawn walk
         g, users, concepts = fan_graph
         u0, u1 = users
         k0, k1 = concepts
@@ -173,19 +173,6 @@ class TestNeighbors:
         corpus._bags[(u0, 1)] = [[u0, k1, u1], [u0, k0, u0], [u0, k0, u1]]
         want = [u0, k1, u1, k0]
         assert metapath_neighbors(corpus, u0, mp1) == want
-        for seed in range(8):
-            assert metapath_neighbors(corpus, u0, mp1, rng=np.random.default_rng(seed)) == want
-        assert metapath_neighbors(corpus, u0, mp1, freeze=True) == want
-
-    def test_freeze_uses_first_instance(self, fan_graph):
-        g, users, _ = fan_graph
-        mps = builtin_metapaths()
-        corpus = PathCorpus.build(g, users, mps, n=10, rng=np.random.default_rng(11))
-        frozen = [
-            metapath_neighbors(corpus, users[0], mps[0], rng=np.random.default_rng(i), freeze=True)
-            for i in range(5)
-        ]
-        assert all(f == frozen[0] for f in frozen)
 
 
 class TestCorpus:

@@ -10,7 +10,6 @@ from hincrec.policy import (
     PolicyParams,
     action_distribution,
     select_action,
-    shrink,
 )
 
 
@@ -115,19 +114,19 @@ class TestSelect:
 class TestShrink:
     def test_remove_middle(self):
         actions = ActionSet.excluding(4, [0])  # {1,2,3}
-        out = shrink(actions, 2)
+        out = actions.shrink(2)
         assert list(out.indices()) == [1, 3]
         assert list(actions.indices()) == [1, 2, 3]  # original untouched
 
     def test_remove_last_leaves_empty(self):
         actions = ActionSet.excluding(3, [0, 1])
-        out = shrink(actions, 2)
+        out = actions.shrink(2)
         assert out.count() == 0
 
     def test_remove_unavailable_raises(self):
         actions = ActionSet.excluding(6, [5])  # {0..4}
         with pytest.raises(ActionNotAvailable):
-            shrink(actions, 5)
+            actions.shrink(5)
 
     def test_count_decreases_by_one(self):
         actions = ActionSet.full(8)

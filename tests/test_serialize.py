@@ -109,3 +109,38 @@ def test_model_checkpoint_byte_identical(tmp_path):
         model.save(p)
         paths.append(p)
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_checkpoint_with_zero_variant_flags_loads(tmp_path):
+    # files written before the variant flags were dropped carry
+    # meta.flags = [average_path_scores, freeze_instance_choice, tied]
+    model = init_model(
+        _graph(), builtin_metapaths(),
+        EmbedConfig(dim=8, heads=2, feat_dim=4, path_hidden=6),
+        rng=np.random.default_rng(5),
+    )
+    path = tmp_path / "m.bin"
+    model.save(path)
+    assert "meta.flags" not in load_tensors(path)
+    save_tensors(path, {**load_tensors(path), "meta.flags": np.zeros(3)})
+    loaded = ModelParams.load(path)
+    assert loaded.embed.cfg == model.embed.cfg
+    assert set(loaded.tensors) == set(model.tensors)
+    for name, arr in model.tensors.items():
+        assert np.array_equal(loaded.tensors[name], arr), name
+
+
+@pytest.mark.parametrize("flag", [0, 1, 2])
+def test_checkpoint_with_variant_flag_rejected(tmp_path, flag):
+    model = init_model(
+        _graph(), builtin_metapaths(),
+        EmbedConfig(dim=8, heads=2, feat_dim=4, path_hidden=6),
+        rng=np.random.default_rng(5),
+    )
+    path = tmp_path / "m.bin"
+    model.save(path)
+    flags = np.zeros(3)
+    flags[flag] = 1.0
+    save_tensors(path, {**load_tensors(path), "meta.flags": flags})
+    with pytest.raises(CheckpointError, match="meta.flags"):
+        ModelParams.load(path)

@@ -184,7 +184,7 @@ class TestTrainRL:
         from hincrec.embedding import user_embedding
         from hincrec.policy import ActionSet, action_distribution, select_action
 
-        emb = user_embedding(model.embed, g, env.corpus, user, rng=np.random.default_rng(1))
+        emb = user_embedding(model.embed, g, env.corpus, user)
         dist = action_distribution(model.policy, emb, ActionSet.full(3))
         greedy, _ = select_action(dist, ActionSet.full(3), 0.0, np.random.default_rng(2))
         assert greedy == 2

@@ -2,7 +2,7 @@
 
 The same HAN-style model as ``hincrec.embedding``, built the long way:
 one ``gather_row`` and one ``matvec`` per projected node, and one Python
-iteration per attention head, meta-path and sampled instance, from the
+iteration per attention head and meta-path, from the
 scalar and vector primitives of the tape. The fused kernels are checked
 against it for values and gradients.
 """
@@ -14,7 +14,7 @@ from typing import Optional
 from hincrec.autodiff import Tape, Var
 from hincrec.embedding import EmbedParams
 from hincrec.graph import NodeRef
-from hincrec.metapath import MetaPath, PathCorpus, distinct_nodes, metapath_neighbors
+from hincrec.metapath import MetaPath, PathCorpus, metapath_neighbors
 
 
 class ProjectionCache:
@@ -83,7 +83,6 @@ def user_embedding(
     project: Optional[ProjectionCache] = None,
 ) -> tuple[Var, Var]:
     """(user vector, beta) as ``hincrec.embedding.build_user_embedding``."""
-    cfg = params.cfg
     if project is None:
         project = ProjectionCache(tape, leaves)
     per_path: list[Var] = []
@@ -92,24 +91,7 @@ def user_embedding(
         nbrs = metapath_neighbors(corpus, user, mp)
         emb = path_embedding(tape, leaves, params, user, nbrs, mp, project)
         per_path.append(emb)
-        if cfg.average_path_scores:
-            insts = corpus.bag(user, mp.id) or [[user]]
-            inst_scores = [
-                path_score(
-                    tape,
-                    leaves,
-                    path_embedding(
-                        tape, leaves, params, user, distinct_nodes(user, [inst]), mp, project
-                    ),
-                )
-                for inst in insts
-            ]
-            total = inst_scores[0]
-            for s in inst_scores[1:]:
-                total = tape.vecadd(total, s)
-            scores.append(tape.scale(total, 1.0 / len(inst_scores)))
-        else:
-            scores.append(path_score(tape, leaves, emb))
+        scores.append(path_score(tape, leaves, emb))
     beta = tape.softmax(tape.concat(scores))
     fused = None
     for k, emb in enumerate(per_path):
