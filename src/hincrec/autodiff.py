@@ -110,19 +110,6 @@ class Tape:
 
         return self._emit(out_val, backward)
 
-    def add_scalar(self, x, s) -> Var:
-        """Broadcast-add a scalar onto every entry of x."""
-        x, s = self._lift(x), self._lift(s)
-        if s.value.ndim != 0:
-            raise ShapeMismatch("add_scalar needs a scalar second operand")
-        out_val = x.value + s.value
-
-        def backward(g):
-            _accum(x, g)
-            _accum(s, np.sum(g))
-
-        return self._emit(out_val, backward)
-
     def concat(self, parts: Sequence) -> Var:
         """Concatenate scalars and 1-d vectors into one vector, or matrices
         with equal column counts along their rows."""
@@ -142,31 +129,6 @@ class Tape:
 
         return self._emit(out_val, backward)
 
-    def stack_rows(self, parts: Sequence) -> Var:
-        """Stack equal-length vectors into a matrix, one per row."""
-        parts = [self._lift(p) for p in parts]
-        if not parts or any(p.value.ndim != 1 for p in parts):
-            raise ShapeMismatch("stack_rows needs a nonempty list of vectors")
-        out_val = np.stack([p.value for p in parts])
-
-        def backward(g):
-            for i, p in enumerate(parts):
-                _accum(p, g[i])
-
-        return self._emit(out_val, backward)
-
-    def dot(self, a, b) -> Var:
-        a, b = self._lift(a), self._lift(b)
-        if a.value.ndim != 1 or a.value.shape != b.value.shape:
-            raise ShapeMismatch(f"dot {a.value.shape} . {b.value.shape}")
-        out_val = np.asarray(a.value @ b.value)
-
-        def backward(g):
-            _accum(a, g * b.value)
-            _accum(b, g * a.value)
-
-        return self._emit(out_val, backward)
-
     def scale(self, x, c) -> Var:
         """Multiply x elementwise by a scalar (constant or scalar Var)."""
         x = self._lift(x)
@@ -178,15 +140,6 @@ class Tape:
         def backward(g):
             _accum(x, g * c.value)
             _accum(c, np.sum(g * x.value))
-
-        return self._emit(out_val, backward)
-
-    def leaky_relu(self, x, slope: float = 0.2) -> Var:
-        x = self._lift(x)
-        out_val = np.where(x.value > 0, x.value, slope * x.value)
-
-        def backward(g):
-            _accum(x, g * np.where(x.value > 0, 1.0, slope))
 
         return self._emit(out_val, backward)
 
@@ -360,19 +313,6 @@ class Tape:
             _accum(h, g_h)
             g_a = np.concatenate((g_self[..., None] * h.value[0], g_pre @ hn), axis=-1)
             _accum(a, g_a.reshape(a.value.shape))
-
-        return self._emit(out_val, backward)
-
-    def slice1d(self, x, start: int, stop: int) -> Var:
-        x = self._lift(x)
-        if x.value.ndim != 1:
-            raise ShapeMismatch("slice1d expects a vector")
-        out_val = x.value[start:stop]
-
-        def backward(g):
-            if x.grad is None:
-                x.grad = np.zeros_like(x.value)
-            x.grad[start:stop] += g
 
         return self._emit(out_val, backward)
 

@@ -323,7 +323,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_recommend(args) -> int:
     cfg = _train_config(None)
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = _seed_of(args, cfg)
     ds = _load_data(args.data)
     graph = ds.graph
     if args.cutoff is not None:

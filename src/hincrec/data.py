@@ -54,9 +54,6 @@ class IdMap:
     def __contains__(self, name: str) -> bool:
         return name in self._to_ref
 
-    def __len__(self) -> int:
-        return len(self._to_ref)
-
 
 @dataclass
 class Click:

@@ -180,9 +180,6 @@ class HinGraph:
         ):
             yield lo, hi, kind, self._ts[(kind, lo, hi)]
 
-    def edge_timestamp(self, a: NodeRef, b: NodeRef, kind: Relation) -> Optional[int]:
-        return self._ts[(kind, *_canonical(a, b))]
-
     # -- digest / copy -------------------------------------------------
 
     def snapshot_digest(self) -> int:

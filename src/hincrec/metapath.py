@@ -143,13 +143,6 @@ class PathCorpus:
     def bag(self, user: NodeRef, mp_id: int) -> list[list[NodeRef]]:
         return self._bags[(user, mp_id)]
 
-    def has_user(self, user: NodeRef) -> bool:
-        return any((user, mp.id) in self._bags for mp in self.metapaths)
-
-    def users(self) -> list[NodeRef]:
-        seen = sorted({u for u, _ in self._bags}, key=lambda r: r.sort_key())
-        return seen
-
     def snapshot_user(self, user: NodeRef) -> dict[int, list[list[NodeRef]]]:
         return {
             mp.id: self._bags[(user, mp.id)]
@@ -171,25 +164,6 @@ class PathCorpus:
             for inst in self._bags[(user, mp_id)]:
                 nodes = ",".join(name_of(ref) for ref in inst)
                 fh.write(f"{name_of(user)}\t{mp_id}\t{nodes}\n")
-
-    @classmethod
-    def read_text(
-        cls,
-        fh,
-        ref_of: Callable[[str], NodeRef],
-        metapaths: Iterable[MetaPath],
-    ) -> "PathCorpus":
-        corpus = cls(metapaths)
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            user_id, mp_id, nodes = line.split("\t")
-            key = (ref_of(user_id), int(mp_id))
-            corpus._bags.setdefault(key, []).append(
-                [ref_of(tok) for tok in nodes.split(",")]
-            )
-        return corpus
 
 
 def metapath_neighbors(corpus: PathCorpus, user: NodeRef, mp: MetaPath) -> list[NodeRef]:

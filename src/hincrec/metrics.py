@@ -170,15 +170,14 @@ def score_trials(scorer: Scorer, trials: Sequence[TrialSpec]) -> list[RankedTria
     return ranked
 
 
-def aggregate(trials: Sequence[RankedTrial], ks: Sequence[int] = (5, 10, 20)) -> EvalReport:
-    k5, k10, k20 = ks
+def aggregate(trials: Sequence[RankedTrial]) -> EvalReport:
     return EvalReport(
-        hr5=hit_ratio(trials, k5),
-        hr10=hit_ratio(trials, k10),
-        hr20=hit_ratio(trials, k20),
-        ndcg5=ndcg(trials, k5),
-        ndcg10=ndcg(trials, k10),
-        ndcg20=ndcg(trials, k20),
+        hr5=hit_ratio(trials, 5),
+        hr10=hit_ratio(trials, 10),
+        hr20=hit_ratio(trials, 20),
+        ndcg5=ndcg(trials, 5),
+        ndcg10=ndcg(trials, 10),
+        ndcg20=ndcg(trials, 20),
         mrr=mrr(trials),
         auc=auc(trials),
         n_trials=len(trials),
@@ -191,7 +190,6 @@ def evaluate(
     clicked_by_user: dict[NodeRef, set],
     n_concepts: int,
     n_negatives: int = 99,
-    ks: Sequence[int] = (5, 10, 20),
     seed: int = 0,
 ) -> EvalReport:
     """Full protocol: sample negatives, score, rank, aggregate.
@@ -203,7 +201,7 @@ def evaluate(
     trials = build_trials(test_positives, clicked_by_user, n_concepts, n_negatives, rng)
     if not trials:
         raise ValueError("evaluation produced no trials")
-    return aggregate(score_trials(scorer, trials), ks)
+    return aggregate(score_trials(scorer, trials))
 
 
 # -- scorers -----------------------------------------------------------------

@@ -45,18 +45,12 @@ class ActionSet:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.mask)
 
-    def is_available(self, action: int) -> bool:
-        return bool(self.mask[action])
-
     def shrink(self, action: int) -> "ActionSet":
         if not self.mask[action]:
             raise ActionNotAvailable(f"concept {action} is not available")
         mask = self.mask.copy()
         mask[action] = False
         return ActionSet(mask)
-
-    def __len__(self) -> int:
-        return self.mask.shape[0]
 
 
 class PolicyParams:

@@ -8,7 +8,7 @@ cross-cluster draws, giving a learnable planted signal.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -39,17 +39,7 @@ class SynthConfig:
     def resolved(self) -> "SynthConfig":
         courses = self.courses if self.courses is not None else 2 * self.clusters
         videos = self.videos if self.videos is not None else 2 * courses
-        cfg = SynthConfig(
-            users=self.users,
-            concepts=self.concepts,
-            clusters=self.clusters,
-            courses=courses,
-            videos=videos,
-            p_in=self.p_in,
-            p_out=self.p_out,
-            clicks_per_user=self.clicks_per_user,
-            seed=self.seed,
-        )
+        cfg = replace(self, courses=courses, videos=videos)
         cfg.validate()
         return cfg
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 import numpy as np
@@ -58,19 +58,16 @@ def discounted_returns(rewards: list[float], gamma: float) -> list[float]:
 
 @dataclass
 class StepRecord:
-    embedding: Var
     action: int
     log_prob: Var
     reward: float
     dist: Var
-    n_available: int
 
 
 @dataclass
 class Episode:
     user: NodeRef
     steps: list[StepRecord]
-    horizon: int
     gamma: float
     tape: Tape
     leaves: dict[str, Var]
@@ -90,11 +87,7 @@ class ObjectiveResult:
     grads: dict[str, np.ndarray]
 
 
-def objective_and_gradients(
-    episode: Episode,
-    lam: float,
-    baseline: Optional[float] = None,
-) -> ObjectiveResult:
+def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
     """Build the episode objective on its tape and backpropagate.
 
     The objective is sum_t log pi(c_t|u_t) * R_t - lam * sum_t sum_c
@@ -107,8 +100,7 @@ def objective_and_gradients(
     returns = discounted_returns([s.reward for s in episode.steps], episode.gamma)
     pg = None
     for rec, ret in zip(episode.steps, returns):
-        weight = ret - baseline if baseline is not None else ret
-        term = tape.scale(rec.log_prob, weight)
+        term = tape.scale(rec.log_prob, ret)
         pg = term if pg is None else tape.vecadd(pg, term)
     negent = None
     for rec in episode.steps:
@@ -228,9 +220,7 @@ def play_episode(
         action, _ = select_action(dist.value, actions, epsilon, rng)
         log_prob = tape.log(tape.gather_row(dist, action))
         reward, mutated = step(env.graph, env.targets, user, action)
-        steps.append(
-            StepRecord(u_var, action, log_prob, reward, dist, actions.count())
-        )
+        steps.append(StepRecord(action, log_prob, reward, dist))
         actions = actions.shrink(action)
         if mutated:
             added.append((user, NodeRef(NodeType.CONCEPT, action)))
@@ -249,7 +239,6 @@ def play_episode(
     return Episode(
         user=user,
         steps=steps,
-        horizon=horizon,
         gamma=gamma,
         tape=tape,
         leaves=leaves,
@@ -333,7 +322,6 @@ def train_rl(
     lam: float = 0.08,
     lr: float = 1e-4,
     rng: Optional[np.random.Generator] = None,
-    use_baseline: bool = False,
 ) -> tuple[ModelParams, list[EpisodeStats]]:
     """REINFORCE fine-tuning with entropy regularization.
 
@@ -346,21 +334,13 @@ def train_rl(
         rng = np.random.default_rng()
     adam = Adam(lr)
     stats: list[EpisodeStats] = []
-    baseline = 0.0
     for ep in range(episodes):
         t0 = time.perf_counter()
         user = env.users[int(rng.integers(len(env.users)))]
         episode = play_episode(model, env, user, horizon, epsilon, gamma, rng)
-        result = objective_and_gradients(
-            episode, lam, baseline=baseline if use_baseline else None
-        )
+        result = objective_and_gradients(episode, lam)
         adam.step(model.tensors, result.grads, maximize=True)
         rollback_episode(env, episode)
-        if use_baseline:
-            first_return = discounted_returns(
-                [s.reward for s in episode.steps], gamma
-            )[0]
-            baseline = 0.9 * baseline + 0.1 * first_return
         elapsed = time.perf_counter() - t0
         stat = EpisodeStats(
             total_reward=episode.total_reward(),

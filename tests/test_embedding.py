@@ -291,7 +291,7 @@ class TestEmbeddingGradients:
 
         def f(tape, leaves):
             u, _ = build_user_embedding(tape, leaves, params, corpus, users[0])
-            return tape.scale(tape.dot(u, u), 0.5)
+            return tape.scale(unfused.dot(tape, u, u), 0.5)
 
         err = grad_check(f, params.tensors, eps=1e-5)
         assert err < 1e-4
@@ -331,7 +331,8 @@ def embedding_loss(tape, leaves, params, corpus, user, build):
     user vector and the path weights."""
     u, beta = build(tape, leaves, params, corpus, user)
     c = tape.leaf(np.linspace(-1.0, 1.0, beta.value.size))
-    return u, beta, tape.vecadd(tape.scale(tape.dot(u, u), 0.5), tape.dot(beta, c))
+    loss = tape.vecadd(tape.scale(unfused.dot(tape, u, u), 0.5), unfused.dot(tape, beta, c))
+    return u, beta, loss
 
 
 class TestFusedMatchesUnfused:

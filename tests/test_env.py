@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from hincrec.autodiff import Tape
-from hincrec.embedding import EmbedConfig
+from hincrec.embedding import EmbedConfig, user_embedding
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import PathCorpus, builtin_metapaths
 from hincrec.model import init_model
-from hincrec.policy import ActionSet, build_action_distribution
+from hincrec.policy import ActionSet, action_distribution, build_action_distribution
 from hincrec.training import (
     Episode,
     StepRecord,
@@ -108,12 +108,11 @@ def scripted_episode(model, env, user, actions_rewards, gamma=0.9):
     for action, reward in actions_rewards:
         dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
         logp = tape.log(tape.gather_row(dist, action))
-        steps.append(StepRecord(u_var, action, logp, reward, dist, actions.count()))
+        steps.append(StepRecord(action, logp, reward, dist))
         actions = actions.shrink(action)
     return Episode(
         user=user,
         steps=steps,
-        horizon=len(steps),
         gamma=gamma,
         tape=tape,
         leaves=leaves,
@@ -213,15 +212,22 @@ class TestObjective:
         with pytest.raises(ValueError):
             objective_and_gradients(episode, 0.08)
 
-    def test_baseline_shifts_weights(self):
-        g, users, env, model = toy_world(n_concepts=3, targets=(1,))
+    def test_policy_term_weights_log_probs_by_returns(self):
+        # sum_t log pi(c_t | u_t) * R_t, with each log pi computed off the
+        # tape over the actions still available at step t
+        g, users, env, model = toy_world(n_concepts=4, targets=(1, 2))
         model.policy.tensors["policy.scores"][:] = np.random.default_rng(4).normal(
-            0, 0.3, model.policy.tensors["policy.scores"].shape
+            0, 0.5, model.policy.tensors["policy.scores"].shape
         )
-        ep1 = scripted_episode(model, env, users[0], [(1, 1.0)])
-        r1 = objective_and_gradients(ep1, lam=0.0)
-        ep2 = scripted_episode(model, env, users[0], [(1, 1.0)])
-        r2 = objective_and_gradients(ep2, lam=0.0, baseline=1.0)
-        # weight 1 - 1 = 0 zeroes the policy gradient entirely
-        assert all(np.allclose(r2.grads[k], 0.0) for k in r2.grads)
-        assert any(np.linalg.norm(r1.grads[k]) > 0 for k in r1.grads)
+        script = [(1, 1.0), (2, 1.0), (3, -1.0)]
+        episode = scripted_episode(model, env, users[0], script, gamma=0.9)
+        result = objective_and_gradients(episode, lam=0.08)
+        returns = discounted_returns([r for _, r in script], 0.9)
+        assert returns == pytest.approx([1.09, 0.1, -1.0], abs=1e-12)
+        u = user_embedding(model.embed, g, env.corpus, users[0])
+        actions = ActionSet.full(env.n_concepts)
+        want = 0.0
+        for (action, _), ret in zip(script, returns):
+            want += math.log(action_distribution(model.policy, u, actions)[action]) * ret
+            actions = actions.shrink(action)
+        assert result.policy_term == pytest.approx(want, rel=1e-12, abs=1e-12)

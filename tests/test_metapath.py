@@ -139,7 +139,7 @@ class TestNeighbors:
         corpus._bags[(u0, 1)] = []
         assert metapath_neighbors(corpus, u0, builtin_metapaths()[0]) == [u0]
 
-    def test_reproducible_draws(self, fan_graph):
+    def test_repeated_calls_agree(self, fan_graph):
         g, users, _ = fan_graph
         mps = builtin_metapaths()
         corpus = PathCorpus.build(g, users, mps, n=3, rng=np.random.default_rng(5))
@@ -216,6 +216,10 @@ class TestCorpus:
 
         buf = io.StringIO()
         corpus.write_text(buf, name_of)
-        buf.seek(0)
-        loaded = PathCorpus.read_text(buf, ref_of, mps)
-        assert loaded._bags == {k: v for k, v in corpus._bags.items() if v}
+        # one line per walk: user<TAB>mp_id<TAB>node,node,...
+        parsed = {}
+        for line in buf.getvalue().splitlines():
+            user, mp_id, nodes = line.split("\t")
+            walk = [ref_of(tok) for tok in nodes.split(",")]
+            parsed.setdefault((ref_of(user), int(mp_id)), []).append(walk)
+        assert parsed == {k: v for k, v in corpus._bags.items() if v}

@@ -197,10 +197,3 @@ class TestTrainRL:
             model, _ = train_rl(model, env, episodes=10, horizon=4, rng=rng)
             results.append(snapshot(model))
         assert_tensors_equal(results[0], results[1])
-
-    def test_use_baseline_flag_runs(self):
-        env, model, rng = small_world(seed=10)
-        model, stats = train_rl(
-            model, env, episodes=15, horizon=4, rng=rng, use_baseline=True
-        )
-        assert len(stats) == 15

@@ -5,16 +5,89 @@ one ``gather_row`` and one ``matvec`` per projected node, and one Python
 iteration per attention head and meta-path, from the
 scalar and vector primitives of the tape. The fused kernels are checked
 against it for values and gradients.
+
+The scalar and vector primitives that only this composition needs
+(``add_scalar``, ``slice1d``, ``stack_rows``, ``dot``, ``leaky_relu``)
+live here as functions of a tape rather than as ``Tape`` methods; they
+record onto the tape like its own primitives do.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
-from hincrec.autodiff import Tape, Var
+import numpy as np
+
+from hincrec.autodiff import ShapeMismatch, Tape, Var, _accum
 from hincrec.embedding import EmbedParams
 from hincrec.graph import NodeRef
 from hincrec.metapath import MetaPath, PathCorpus, metapath_neighbors
+
+
+# -- primitives used only by the unfused composition --------------------------
+
+
+def add_scalar(tape: Tape, x, s) -> Var:
+    """Broadcast-add a scalar onto every entry of x."""
+    x, s = tape._lift(x), tape._lift(s)
+    if s.value.ndim != 0:
+        raise ShapeMismatch("add_scalar needs a scalar second operand")
+
+    def backward(g):
+        _accum(x, g)
+        _accum(s, np.sum(g))
+
+    return tape._emit(x.value + s.value, backward)
+
+
+def stack_rows(tape: Tape, parts: Sequence) -> Var:
+    """Stack equal-length vectors into a matrix, one per row."""
+    parts = [tape._lift(p) for p in parts]
+    if not parts or any(p.value.ndim != 1 for p in parts):
+        raise ShapeMismatch("stack_rows needs a nonempty list of vectors")
+
+    def backward(g):
+        for i, p in enumerate(parts):
+            _accum(p, g[i])
+
+    return tape._emit(np.stack([p.value for p in parts]), backward)
+
+
+def dot(tape: Tape, a, b) -> Var:
+    a, b = tape._lift(a), tape._lift(b)
+    if a.value.ndim != 1 or a.value.shape != b.value.shape:
+        raise ShapeMismatch(f"dot {a.value.shape} . {b.value.shape}")
+
+    def backward(g):
+        _accum(a, g * b.value)
+        _accum(b, g * a.value)
+
+    return tape._emit(np.asarray(a.value @ b.value), backward)
+
+
+def leaky_relu(tape: Tape, x, slope: float = 0.2) -> Var:
+    x = tape._lift(x)
+
+    def backward(g):
+        _accum(x, g * np.where(x.value > 0, 1.0, slope))
+
+    return tape._emit(np.where(x.value > 0, x.value, slope * x.value), backward)
+
+
+def slice1d(tape: Tape, x, start: int, stop: int) -> Var:
+    x = tape._lift(x)
+    if x.value.ndim != 1:
+        raise ShapeMismatch("slice1d expects a vector")
+
+    def backward(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.value)
+        x.grad[start:stop] += g
+
+    return tape._emit(x.value[start:stop], backward)
+
+
+# -- the unfused user embedding ------------------------------------------------
 
 
 class ProjectionCache:
@@ -38,11 +111,11 @@ def attention_logits(
     tape: Tape, attn_row: Var, h_self: Var, h_nbrs: Var, f1: int, slope: float
 ) -> Var:
     # a . [h_i || h_j] split into the self and neighbor halves of a.
-    a_self = tape.slice1d(attn_row, 0, f1)
-    a_nbr = tape.slice1d(attn_row, f1, 2 * f1)
-    s_self = tape.dot(a_self, h_self)
+    a_self = slice1d(tape, attn_row, 0, f1)
+    a_nbr = slice1d(tape, attn_row, f1, 2 * f1)
+    s_self = dot(tape, a_self, h_self)
     s_nbrs = tape.matvec(h_nbrs, a_nbr)
-    return tape.leaky_relu(tape.add_scalar(s_nbrs, s_self), slope)
+    return leaky_relu(tape, add_scalar(tape, s_nbrs, s_self), slope)
 
 
 def path_embedding(
@@ -57,7 +130,7 @@ def path_embedding(
     """Multi-head attention aggregation over one meta-path neighborhood."""
     cfg = params.cfg
     h_self = project(user)
-    h_nbrs = tape.stack_rows([project(j) for j in neighborhood])
+    h_nbrs = stack_rows(tape, [project(j) for j in neighborhood])
     attn = leaves[f"attn.mp{mp.id}"]
     heads = []
     for head in range(cfg.heads):
@@ -65,13 +138,13 @@ def path_embedding(
         logits = attention_logits(tape, row, h_self, h_nbrs, cfg.head_dim, cfg.leaky_slope)
         alpha = tape.softmax(logits)
         agg = tape.matvec_t(h_nbrs, alpha)
-        heads.append(tape.leaky_relu(agg, cfg.leaky_slope))
+        heads.append(leaky_relu(tape, agg, cfg.leaky_slope))
     return heads[0] if len(heads) == 1 else tape.concat(heads)
 
 
 def path_score(tape: Tape, leaves: dict[str, Var], emb: Var) -> Var:
     hidden = tape.tanh(tape.vecadd(tape.matvec(leaves["path.W"], emb), leaves["path.b"]))
-    return tape.dot(leaves["path.q"], hidden)
+    return dot(tape, leaves["path.q"], hidden)
 
 
 def user_embedding(
