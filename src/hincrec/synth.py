@@ -111,7 +111,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
     # Users enroll in two same-cluster courses and watch one video of each.
     for user in users:
         own = courses_in[cluster_of(user)]
-        picks = {own[int(i)] for i in rng.choice(len(own), size=min(2, len(own)), replace=False)}
+        picks = [own[int(i)] for i in rng.choice(len(own), size=min(2, len(own)), replace=False)]
         for course in picks:
             graph.add_edge(user, course, Relation.LEARN)
             course_videos = graph.neighbors(course, Relation.CONTAINS)

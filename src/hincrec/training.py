@@ -117,7 +117,15 @@ def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
 
 
 class Adam:
-    """Standard Adam with bias correction; updates tensors in place."""
+    """Standard Adam with bias correction; updates tensors in place.
+
+    The first step lays the tensors out, in the order of `tensors`, in
+    flat buffers: the two moments, the gradient and a scratch row. A step
+    is then a fixed number of in-place passes over those buffers, however
+    many tensors there are, with the per-element arithmetic of the
+    textbook per-tensor step. Every later step must pass the same names
+    and shapes, and a gradient for each of them.
+    """
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -125,8 +133,23 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        # (name, shape, view of _g, view of _s) per tensor
+        self._slots: list[tuple[str, tuple, np.ndarray, np.ndarray]] = []
+        self._m = self._v = self._g = self._s = np.zeros(0)
+
+    def _lay_out(self, tensors: dict[str, np.ndarray]) -> None:
+        size = sum(arr.size for arr in tensors.values())
+        self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
+        lo = 0
+        for name, arr in tensors.items():
+            hi = lo + arr.size
+            self._slots.append((
+                name,
+                arr.shape,
+                self._g[lo:hi].reshape(arr.shape),
+                self._s[lo:hi].reshape(arr.shape),
+            ))
+            lo = hi
 
     def step(
         self,
@@ -134,23 +157,45 @@ class Adam:
         grads: dict[str, np.ndarray],
         maximize: bool = False,
     ) -> None:
+        """One update; raises FloatingPointError, with nothing changed,
+        when a gradient entry is not finite."""
+        if not self._slots:
+            self._lay_out(tensors)
+        elif len(tensors) != len(self._slots) or any(
+            name != slot[0] or arr.shape != slot[1]
+            for (name, arr), slot in zip(tensors.items(), self._slots)
+        ):
+            raise ValueError(
+                "Adam.step: tensors changed since the first step: "
+                f"{[(s[0], s[1]) for s in self._slots]} -> "
+                f"{[(name, arr.shape) for name, arr in tensors.items()]}"
+            )
+        m, v, g, s = self._m, self._v, self._g, self._s
+        for name, _, g_view, _ in self._slots:
+            g_view[...] = grads[name]
+        if maximize:
+            np.negative(g, out=g)
+        if not np.isfinite(g).all():
+            bad = next(n for n, _, gv, _ in self._slots if not np.isfinite(gv).all())
+            raise FloatingPointError(f"non-finite gradient for {bad}")
         self.t += 1
         b1, b2 = self.beta1, self.beta2
-        for name, arr in tensors.items():
-            g = grads.get(name)
-            if g is None:
-                continue
-            if maximize:
-                g = -g
-            m = self._m.setdefault(name, np.zeros_like(arr))
-            v = self._v.setdefault(name, np.zeros_like(arr))
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * (g * g)
-            m_hat = m / (1 - b1**self.t)
-            v_hat = v / (1 - b2**self.t)
-            arr -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        m *= b1
+        np.multiply(g, 1 - b1, out=s)
+        m += s
+        v *= b2
+        np.multiply(g, g, out=s)
+        s *= 1 - b2
+        v += s
+        # s = lr * m_hat / (sqrt(v_hat) + eps), evaluated left to right
+        np.divide(m, 1 - b1**self.t, out=s)
+        s *= self.lr
+        np.divide(v, 1 - b2**self.t, out=g)
+        np.sqrt(g, out=g)
+        g += self.eps
+        s /= g
+        for name, _, _, s_view in self._slots:
+            tensors[name] -= s_view
 
 
 @dataclass
@@ -338,9 +383,11 @@ def train_rl(
         t0 = time.perf_counter()
         user = env.users[int(rng.integers(len(env.users)))]
         episode = play_episode(model, env, user, horizon, epsilon, gamma, rng)
-        result = objective_and_gradients(episode, lam)
-        adam.step(model.tensors, result.grads, maximize=True)
-        rollback_episode(env, episode)
+        try:
+            result = objective_and_gradients(episode, lam)
+            adam.step(model.tensors, result.grads, maximize=True)
+        finally:
+            rollback_episode(env, episode)
         elapsed = time.perf_counter() - t0
         stat = EpisodeStats(
             total_reward=episode.total_reward(),

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hincrec
 from hincrec.graph import NodeType, Relation
 from hincrec.metapath import builtin_metapaths, sample_instances
 from hincrec.synth import (
@@ -106,3 +111,22 @@ class TestGenerator:
         ds = generate_synthetic(SynthConfig(users=20, concepts=10, clusters=2, seed=6))
         for c in ds.clicks:
             assert TS_START <= c.ts < TS_START + TS_SPAN
+
+
+def test_written_dataset_independent_of_hash_seed(tmp_path):
+    # NodeType hashes by its name, which Python randomizes per process;
+    # generation must not iterate anything in hash order
+    script = (
+        "import sys\n"
+        "from hincrec.data import save_dataset\n"
+        "from hincrec.synth import SynthConfig, generate_synthetic\n"
+        "save_dataset(generate_synthetic(SynthConfig()), sys.argv[1])\n"
+    )
+    src = str(Path(hincrec.__file__).resolve().parents[1])
+    written = []
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": src}
+        out = tmp_path / hash_seed
+        subprocess.run([sys.executable, "-c", script, str(out)], env=env, check=True)
+        written.append((out / "edges.tsv").read_bytes())
+    assert written[0] == written[1]

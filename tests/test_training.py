@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from oracles import TextbookAdam
+
+from hincrec import training
 from hincrec.embedding import EmbedConfig
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import builtin_metapaths
@@ -10,6 +13,7 @@ from hincrec.model import init_model
 from hincrec.synth import SynthConfig, generate_synthetic
 from hincrec.data import holdout_targets
 from hincrec.training import (
+    Adam,
     make_training_env,
     play_episode,
     pretrain,
@@ -165,6 +169,37 @@ class TestTrainRL:
         train_rl(model, env, episodes=40, horizon=5, rng=rng)
         assert env.graph.snapshot_digest() == digest
 
+    def test_failed_update_restores_graph_and_params(self, monkeypatch):
+        env, model, rng = small_world(seed=3)
+        user = env.users[0]
+        # steer the greedy policy onto two unwired targets, so the episode
+        # writes click edges and re-walks the user before the update fails
+        unwired = sorted(
+            c for c in range(env.n_concepts)
+            if not env.graph.has_edge(user, NodeRef(K, c), Relation.CLICK)
+        )[:2]
+        for rank, c in enumerate(unwired):
+            model.policy.tensors["policy.bias"][c] = 10.0 - rank
+        env.targets = {user: frozenset(unwired)}
+        env.users = [user]
+        digest = env.graph.snapshot_digest()
+        bags = {k: [list(w) for w in bag] for k, bag in env.corpus.snapshot_user(user).items()}
+        before = snapshot(model)
+        edges_rolled_back = []
+
+        def recording_rollback(env_, episode):
+            edges_rolled_back.append(len(episode.added_edges))
+            rollback_episode(env_, episode)
+
+        monkeypatch.setattr(training, "rollback_episode", recording_rollback)
+        with pytest.raises(FloatingPointError, match="non-finite gradient"):
+            train_rl(model, env, episodes=1, horizon=2, epsilon=0.0,
+                     lam=float("nan"), rng=rng)
+        assert edges_rolled_back == [2]
+        assert env.graph.snapshot_digest() == digest
+        assert env.corpus.snapshot_user(user) == bags
+        assert_tensors_equal(snapshot(model), before)
+
     def test_toy_convergence_to_correct_concept(self):
         # exhaustive toy: one user, three concepts, one correct answer
         g = HinGraph()
@@ -197,3 +232,80 @@ class TestTrainRL:
             model, _ = train_rl(model, env, episodes=10, horizon=4, rng=rng)
             results.append(snapshot(model))
         assert_tensors_equal(results[0], results[1])
+
+
+ADAM_SHAPES = {"w": (3, 4), "b": (5,), "empty": (0, 3), "cube": (2, 1, 3), "s": ()}
+
+
+def adam_problem(seed):
+    rng = np.random.default_rng(seed)
+    tensors = {k: rng.normal(size=shape) for k, shape in ADAM_SHAPES.items()}
+    grads = [
+        {k: rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3) for k, shape in ADAM_SHAPES.items()}
+        for _ in range(5)
+    ]
+    return tensors, grads
+
+
+def flat(per_tensor):
+    return np.concatenate([per_tensor[k].ravel() for k in ADAM_SHAPES])
+
+
+class TestAdam:
+    @pytest.mark.parametrize("maximize", [False, True])
+    def test_bit_equal_to_textbook_step(self, maximize):
+        tensors, grads = adam_problem(0)
+        ref_tensors = {k: v.copy() for k, v in tensors.items()}
+        adam, ref = Adam(lr=1e-2), TextbookAdam(lr=1e-2)
+        for g in grads:
+            adam.step(tensors, g, maximize=maximize)
+            ref.step(ref_tensors, g, maximize=maximize)
+            assert adam.t == ref.t
+            assert adam._m.tobytes() == flat(ref.m).tobytes()
+            assert adam._v.tobytes() == flat(ref.v).tobytes()
+            for k in ADAM_SHAPES:
+                assert tensors[k].shape == ADAM_SHAPES[k]
+                assert tensors[k].tobytes() == ref_tensors[k].tobytes(), k
+
+    def test_updates_the_callers_arrays(self):
+        tensors, grads = adam_problem(1)
+        arrays = dict(tensors)
+        Adam(lr=1e-2).step(tensors, grads[0])
+        assert all(tensors[k] is arrays[k] for k in ADAM_SHAPES)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_changes_nothing(self, bad):
+        tensors, grads = adam_problem(2)
+        adam = Adam(lr=1e-2)
+        adam.step(tensors, grads[0])
+        before = {k: v.copy() for k, v in tensors.items()}
+        m, v = adam._m.copy(), adam._v.copy()
+        grads[1]["cube"][1, 0, 2] = bad
+        with pytest.raises(FloatingPointError, match="cube"):
+            adam.step(tensors, grads[1], maximize=True)
+        assert adam.t == 1
+        assert adam._m.tobytes() == m.tobytes()
+        assert adam._v.tobytes() == v.tobytes()
+        assert_tensors_equal(tensors, before)
+
+    @pytest.mark.parametrize("change", ["rename", "reshape", "drop"])
+    def test_later_step_must_keep_the_layout(self, change):
+        tensors, grads = adam_problem(3)
+        adam = Adam(lr=1e-2)
+        adam.step(tensors, grads[0])
+        if change == "rename":
+            tensors["w2"] = tensors.pop("w")
+            grads[1]["w2"] = grads[1].pop("w")
+        elif change == "reshape":
+            tensors["w"] = tensors["w"].reshape(4, 3)
+            grads[1]["w"] = grads[1]["w"].reshape(4, 3)
+        else:
+            del tensors["b"], grads[1]["b"]
+        with pytest.raises(ValueError, match="changed since the first step"):
+            adam.step(tensors, grads[1])
+
+    def test_missing_gradient_raises(self):
+        tensors, grads = adam_problem(4)
+        del grads[0]["b"]
+        with pytest.raises(KeyError, match="b"):
+            Adam(lr=1e-2).step(tensors, grads[0])
