@@ -229,9 +229,7 @@ class PolicyScorer:
             return cached
         emb = user_embedding(self.model.embed, self.graph, self.corpus, user)
         tape = Tape(record=False)
-        logits = policy_logits(
-            tape, self.model.leaves(tape), self.model.policy, tape.leaf(emb.vector)
-        ).value
+        logits = policy_logits(tape, self.model.leaves(tape), tape.leaf(emb.vector)).value
         self._cache[user] = logits
         return logits
 

@@ -78,12 +78,7 @@ class PolicyParams:
         return PolicyParams.from_tensors({k: v.copy() for k, v in self.tensors.items()})
 
 
-def policy_logits(
-    tape: Tape,
-    leaves: dict[str, Var],
-    policy: PolicyParams,
-    u: Var,
-) -> Var:
+def policy_logits(tape: Tape, leaves: dict[str, Var], u: Var) -> Var:
     """Concept logits for user vector `u`: scores @ u + bias."""
     return tape.vecadd(tape.matvec(leaves["policy.scores"], u), leaves["policy.bias"])
 
@@ -95,10 +90,13 @@ def build_action_distribution(
     u: Var,
     actions: ActionSet,
 ) -> Var:
-    """Masked softmax distribution over concepts as a tape Var."""
+    """Masked softmax distribution over concepts as a tape Var.
+
+    The logits read the policy tensors from `leaves`; `policy` is not read.
+    """
     if actions.count() == 0:
         raise EmptyActionSet("no available concept to score")
-    return tape.masked_softmax(policy_logits(tape, leaves, policy, u), actions.mask)
+    return tape.masked_softmax(policy_logits(tape, leaves, u), actions.mask)
 
 
 def action_distribution(

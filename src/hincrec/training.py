@@ -27,6 +27,9 @@ logger = logging.getLogger("hincrec.training")
 
 GroundTruth = Mapping[NodeRef, frozenset]
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 def step(
     graph: HinGraph,
@@ -72,7 +75,6 @@ class Episode:
     tape: Tape
     leaves: dict[str, Var]
     added_edges: list[tuple[NodeRef, NodeRef]]
-    saved_bags: dict
     embed_count: int
 
     def total_reward(self) -> float:
@@ -127,11 +129,8 @@ class Adam:
     and shapes, and a gradient for each of them.
     """
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         # (name, shape, view of _g, view of _s) per tensor
         self._slots: list[tuple[str, tuple, np.ndarray, np.ndarray]] = []
@@ -179,7 +178,7 @@ class Adam:
             bad = next(n for n, _, gv, _ in self._slots if not np.isfinite(gv).all())
             raise FloatingPointError(f"non-finite gradient for {bad}")
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2 = ADAM_BETA1, ADAM_BETA2
         m *= b1
         np.multiply(g, 1 - b1, out=s)
         m += s
@@ -192,7 +191,7 @@ class Adam:
         s *= self.lr
         np.divide(v, 1 - b2**self.t, out=g)
         np.sqrt(g, out=g)
-        g += self.eps
+        g += ADAM_EPS
         s /= g
         for name, _, _, s_view in self._slots:
             tensors[name] -= s_view
@@ -245,59 +244,56 @@ def play_episode(
     gamma: float,
     rng: np.random.Generator,
 ) -> Episode:
-    """Roll out one episode, mutating env.graph on correct steps.
+    """Roll out one episode, adding a click edge to env.graph on each
+    correct step.
 
-    The user's embedding is recomputed (with freshly sampled walks) after
-    every correct step and never after the episode-ending incorrect one.
-    Call `rollback_episode` afterwards to restore the base graph.
+    After every correct step, and never after the episode-ending incorrect
+    one, the user's walks are redrawn against the changed graph into a
+    corpus of the episode's own, and the user is embedded again from it;
+    env.corpus is never written. Call `rollback_episode` afterwards to
+    remove the edges; if the rollout raises, they are removed before the
+    error propagates.
     """
     tape = Tape()
     leaves = model.leaves(tape)
-    saved_bags = env.corpus.snapshot_user(user)
-    added: list[tuple[NodeRef, NodeRef]] = []
     u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
-    embed_count = 1
-    actions = ActionSet.full(env.n_concepts)
-    steps: list[StepRecord] = []
-    t = 1
-    while True:
-        dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
-        action, _ = select_action(dist.value, actions, epsilon, rng)
-        log_prob = tape.log(tape.gather_row(dist, action))
-        reward, mutated = step(env.graph, env.targets, user, action)
-        steps.append(StepRecord(action, log_prob, reward, dist))
-        actions = actions.shrink(action)
-        if mutated:
-            added.append((user, NodeRef(NodeType.CONCEPT, action)))
-            env.corpus.resample_user(
-                env.graph,
-                user,
-                n=env.walks_per_path,
-                max_len=env.max_walk_len,
-                rng=rng,
-            )
-            u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
-            embed_count += 1
-        if reward < 0 or t >= horizon or actions.count() == 0:
-            break
-        t += 1
-    return Episode(
+    episode = Episode(
         user=user,
-        steps=steps,
+        steps=[],
         gamma=gamma,
         tape=tape,
         leaves=leaves,
-        added_edges=added,
-        saved_bags=saved_bags,
-        embed_count=embed_count,
+        added_edges=[],
+        embed_count=1,
     )
+    rewalked = PathCorpus(env.corpus.metapaths)
+    actions = ActionSet.full(env.n_concepts)
+    t = 1
+    try:
+        while True:
+            dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
+            action, _ = select_action(dist.value, actions, epsilon, rng)
+            log_prob = tape.log(tape.gather_row(dist, action))
+            actions = actions.shrink(action)
+            reward, mutated = step(env.graph, env.targets, user, action)
+            episode.steps.append(StepRecord(action, log_prob, reward, dist))
+            if mutated:
+                episode.added_edges.append((user, NodeRef(NodeType.CONCEPT, action)))
+                rewalked.resample_user(env.graph, user, env.walks_per_path, env.max_walk_len, rng)
+                u_var, _ = build_user_embedding(tape, leaves, model.embed, rewalked, user)
+                episode.embed_count += 1
+            if reward < 0 or t >= horizon or actions.count() == 0:
+                return episode
+            t += 1
+    except BaseException:
+        rollback_episode(env, episode)
+        raise
 
 
 def rollback_episode(env: TrainingEnv, episode: Episode) -> None:
-    """Remove episode-added click edges and restore the user's path bags."""
+    """Remove the click edges the episode added to env.graph."""
     for a, b in episode.added_edges:
         env.graph.remove_edge(a, b, Relation.CLICK)
-    env.corpus.restore_user(episode.user, episode.saved_bags)
 
 
 @dataclass

@@ -117,7 +117,6 @@ def scripted_episode(model, env, user, actions_rewards, gamma=0.9):
         tape=tape,
         leaves=leaves,
         added_edges=[],
-        saved_bags={},
         embed_count=1,
     )
 

@@ -6,7 +6,7 @@ import pytest
 from oracles import TextbookAdam
 
 from hincrec import training
-from hincrec.embedding import EmbedConfig
+from hincrec.embedding import EmbedConfig, build_user_embedding
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import builtin_metapaths
 from hincrec.model import init_model
@@ -46,6 +46,25 @@ def small_world(seed=0, dim=8, heads=2):
 
 def snapshot(model):
     return {k: v.copy() for k, v in model.tensors.items()}
+
+
+def steer_onto_unwired(env, model, user, n):
+    """Make the greedy policy pick, in order, `n` concepts that `user` has
+    not clicked, and make them the user's only targets, so each of the
+    first `n` steps is correct and adds a click edge."""
+    unwired = sorted(
+        c for c in range(env.n_concepts)
+        if not env.graph.has_edge(user, NodeRef(K, c), Relation.CLICK)
+    )[:n]
+    assert len(unwired) == n
+    for rank, c in enumerate(unwired):
+        model.policy.tensors["policy.bias"][c] = 10.0 - rank
+    env.targets = {user: frozenset(unwired)}
+    return unwired
+
+
+def user_bags(env, user):
+    return {k: [list(w) for w in bag] for k, bag in env.corpus.snapshot_user(user).items()}
 
 
 def assert_tensors_equal(a, b):
@@ -89,21 +108,24 @@ class TestEpisodeInvariants:
         env, model, rng = small_world(seed=3)
         base_digest = env.graph.snapshot_digest()
         user = env.users[0]
-        # force four successes: steer the greedy policy onto unwired targets
-        unwired = sorted(
-            c for c in range(env.n_concepts)
-            if not env.graph.has_edge(user, NodeRef(K, c), Relation.CLICK)
-        )[:4]
-        assert len(unwired) == 4
-        for rank, c in enumerate(unwired):
-            model.policy.tensors["policy.bias"][c] = 10.0 - rank
-        env.targets = {user: frozenset(unwired)}
+        unwired = steer_onto_unwired(env, model, user, 4)
         ep = play_episode(model, env, user, horizon=4, epsilon=0.0, gamma=0.9, rng=rng)
         assert [s.action for s in ep.steps] == unwired
         assert len(ep.added_edges) == 4
         assert env.graph.snapshot_digest() != base_digest
         rollback_episode(env, ep)
         assert env.graph.snapshot_digest() == base_digest
+
+    def test_rewalks_leave_the_shared_corpus_alone(self):
+        env, model, rng = small_world(seed=3)
+        user = env.users[0]
+        unwired = steer_onto_unwired(env, model, user, 2)
+        bags = user_bags(env, user)
+        ep = play_episode(model, env, user, horizon=2, epsilon=0.0, gamma=0.9, rng=rng)
+        assert ep.embed_count == 3
+        assert all(env.graph.has_edge(user, NodeRef(K, c), Relation.CLICK) for c in unwired)
+        assert env.corpus.snapshot_user(user) == bags
+        rollback_episode(env, ep)
 
     def test_graph_untouched_by_incorrect_episode(self):
         env, model, rng = small_world(seed=4)
@@ -172,18 +194,12 @@ class TestTrainRL:
     def test_failed_update_restores_graph_and_params(self, monkeypatch):
         env, model, rng = small_world(seed=3)
         user = env.users[0]
-        # steer the greedy policy onto two unwired targets, so the episode
-        # writes click edges and re-walks the user before the update fails
-        unwired = sorted(
-            c for c in range(env.n_concepts)
-            if not env.graph.has_edge(user, NodeRef(K, c), Relation.CLICK)
-        )[:2]
-        for rank, c in enumerate(unwired):
-            model.policy.tensors["policy.bias"][c] = 10.0 - rank
-        env.targets = {user: frozenset(unwired)}
+        # two correct steps write click edges and re-walk the user before
+        # the update fails
+        steer_onto_unwired(env, model, user, 2)
         env.users = [user]
         digest = env.graph.snapshot_digest()
-        bags = {k: [list(w) for w in bag] for k, bag in env.corpus.snapshot_user(user).items()}
+        bags = user_bags(env, user)
         before = snapshot(model)
         edges_rolled_back = []
 
@@ -199,6 +215,28 @@ class TestTrainRL:
         assert env.graph.snapshot_digest() == digest
         assert env.corpus.snapshot_user(user) == bags
         assert_tensors_equal(snapshot(model), before)
+
+    def test_failed_rollout_removes_its_edges(self, monkeypatch):
+        env, model, rng = small_world(seed=3)
+        user = env.users[0]
+        steer_onto_unwired(env, model, user, 2)
+        env.users = [user]
+        digest = env.graph.snapshot_digest()
+        bags = user_bags(env, user)
+        calls = []
+
+        def failing_second_embedding(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("injected")
+            return build_user_embedding(*args, **kwargs)
+
+        monkeypatch.setattr(training, "build_user_embedding", failing_second_embedding)
+        with pytest.raises(RuntimeError, match="injected"):
+            train_rl(model, env, episodes=1, horizon=2, epsilon=0.0, rng=rng)
+        assert len(calls) == 2
+        assert env.graph.snapshot_digest() == digest
+        assert env.corpus.snapshot_user(user) == bags
 
     def test_toy_convergence_to_correct_concept(self):
         # exhaustive toy: one user, three concepts, one correct answer
