@@ -74,27 +74,38 @@ class Tape:
     # -- primitives ------------------------------------------------------
 
     def matvec(self, a, x) -> Var:
+        """Product a @ x of a vector x and an array a whose last axis has
+        x's length: (..., n) @ (n,) -> (...)."""
         a, x = self._lift(a), self._lift(x)
-        if a.value.ndim != 2 or x.value.ndim != 1 or a.value.shape[1] != x.value.shape[0]:
+        if a.value.ndim < 2 or x.value.ndim != 1 or a.value.shape[-1] != x.value.shape[0]:
             raise ShapeMismatch(f"matvec {a.value.shape} @ {x.value.shape}")
         out_val = a.value @ x.value
 
         def backward(g):
-            _accum(a, np.outer(g, x.value))
-            _accum(x, a.value.T @ g)
+            _accum(a, g[..., None] * x.value)
+            _accum(x, a.value.reshape(-1, x.value.size).T @ g.reshape(-1))
 
         return self._emit(out_val, backward)
 
     def matvec_t(self, a, x) -> Var:
-        """Transposed product a.T @ x for a matrix a and vector x."""
+        """Transposed product a.T @ x of a matrix a (n, m) and vector x (n,),
+        or one such product per leading index: (..., n, m) and (..., n)
+        give (..., m)."""
         a, x = self._lift(a), self._lift(x)
-        if a.value.ndim != 2 or x.value.ndim != 1 or a.value.shape[0] != x.value.shape[0]:
+        if a.value.ndim < 2 or a.value.shape[:-1] != x.value.shape:
             raise ShapeMismatch(f"matvec_t {a.value.shape}.T @ {x.value.shape}")
-        out_val = a.value.T @ x.value
+        if x.value.ndim == 1:
+            out_val = a.value.T @ x.value
+        else:
+            out_val = (x.value[..., None, :] @ a.value)[..., 0, :]
 
         def backward(g):
-            _accum(a, np.outer(x.value, g))
-            _accum(x, a.value @ g)
+            if x.value.ndim == 1:
+                _accum(a, np.outer(x.value, g))
+                _accum(x, a.value @ g)
+            else:
+                _accum(a, x.value[..., None] * g[..., None, :])
+                _accum(x, (a.value @ g[..., None])[..., 0])
 
         return self._emit(out_val, backward)
 
@@ -153,16 +164,23 @@ class Tape:
         return self._emit(out_val, backward)
 
     def softmax(self, x) -> Var:
-        """Stable softmax of a vector (max-subtracted)."""
+        """Stable (max-subtracted) softmax of a vector, or of each row of
+        an array along its last axis."""
         x = self._lift(x)
-        if x.value.ndim != 1 or x.value.size == 0:
-            raise ShapeMismatch("softmax expects a nonempty vector")
-        z = x.value - np.max(x.value)
-        e = np.exp(z)
-        p = e / np.sum(e)
+        if x.value.ndim == 0 or x.value.size == 0:
+            raise ShapeMismatch("softmax expects a nonempty vector or array")
+        if x.value.ndim == 1:
+            e = np.exp(x.value - np.max(x.value))
+            p = e / np.sum(e)
+        else:
+            e = np.exp(x.value - np.max(x.value, axis=-1, keepdims=True))
+            p = e / np.sum(e, axis=-1, keepdims=True)
 
         def backward(g):
-            _accum(x, p * (g - np.dot(p, g)))
+            if p.ndim == 1:
+                _accum(x, p * (g - np.dot(p, g)))
+            else:
+                _accum(x, p * (g - np.sum(p * g, axis=-1, keepdims=True)))
 
         return self._emit(p, backward)
 
@@ -263,10 +281,10 @@ class Tape:
         return self._emit(out_val, backward)
 
     def matmul_t(self, a, b, bias=None) -> Var:
-        """a @ b.T for matrices a (n, k) and b (m, k), plus an optional
-        bias vector (m,) added to every row."""
+        """a @ b.T for an array a (..., k) and a matrix b (m, k), plus an
+        optional bias vector (m,) added to every row."""
         a, b = self._lift(a), self._lift(b)
-        if a.value.ndim != 2 or b.value.ndim != 2 or a.value.shape[1] != b.value.shape[1]:
+        if a.value.ndim < 2 or b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[1]:
             raise ShapeMismatch(f"matmul_t {a.value.shape} @ {b.value.shape}.T")
         out_val = a.value @ b.value.T
         if bias is not None:
@@ -276,43 +294,89 @@ class Tape:
             out_val += bias.value
 
         def backward(g):
+            g2 = g.reshape(-1, g.shape[-1])
             _accum(a, g @ b.value)
-            _accum(b, g.T @ a.value)
+            _accum(b, g2.T @ a.value.reshape(g2.shape[0], -1))
             if bias is not None:
-                _accum(bias, g.sum(axis=0))
+                _accum(bias, g2.sum(axis=0))
 
         return self._emit(out_val, backward)
 
-    def multihead_attention(self, h, nbr_idx, mask, a, slope: float = 0.2) -> Var:
-        """HAN node-level attention of row 0 of `h` over R neighborhoods,
-        all heads at once (see `attention_weights` for the arguments).
+    def multihead_attention(
+        self, h, nbr_idx, mask, a, slope: float = 0.2, self_rows=None
+    ) -> Var:
+        """HAN node-level attention over P neighborhoods, all heads at once
+        (see `attention_weights` for the arguments).
 
-        Row r of the (R, heads * f) result is the concatenation over heads
-        k of leaky_relu(sum_j alpha[r, k, j] * h[nbr_idx[r, j]]).
+        With (P, L) `nbr_idx` and `mask`, row 0 of `h` attends, and row p of
+        the (P, heads * f) result is the concatenation over heads k of
+        leaky_relu(sum_j alpha[p, k, j] * h[nbr_idx[p, j]]). With (B, P, L)
+        arrays, row ``self_rows[b]`` attends over neighborhoods
+        ``nbr_idx[b]`` with the same P blocks of attention vectors for every
+        b, and the result is (B, P, heads * f).
         """
         h, a = self._lift(h), self._lift(a)
         nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
         mask = np.asarray(mask, dtype=bool)
-        hn, pre, alpha = attention_weights(h.value, nbr_idx, mask, a.value, slope)
-        n_rows, heads, _ = alpha.shape
+        rows = None if self_rows is None else np.asarray(self_rows, dtype=np.intp)
+        hn, pre, alpha = attention_weights(h.value, nbr_idx, mask, a.value, slope, rows)
+        *lead, n_paths, heads, _ = alpha.shape
+        if not lead:
+            rows = 0
         f = h.value.shape[1]
         agg = alpha @ hn
-        out_val = np.where(agg > 0, agg, slope * agg).reshape(n_rows, heads * f)
+        out_val = np.where(agg > 0, agg, slope * agg).reshape(*lead, n_paths, heads * f)
 
         def backward(g):
-            a3 = a.value.reshape(n_rows, heads, 2 * f)
+            a_self, a_nbr = a.value[:, :f], a.value[:, f:].reshape(n_paths, heads, f)
             g_agg = g.reshape(agg.shape) * np.where(agg > 0, 1.0, slope)
-            g_alpha = g_agg @ hn.transpose(0, 2, 1)
+            g_alpha = g_agg @ hn.swapaxes(-1, -2)
             g_e = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
             g_pre = g_e * np.where(pre > 0, 1.0, slope)
-            g_self = g_pre.sum(axis=-1)
-            g_hn = alpha.transpose(0, 2, 1) @ g_agg + g_pre.transpose(0, 2, 1) @ a3[..., f:]
+            g_self = g_pre.sum(axis=-1).reshape(-1, n_paths * heads)
+            g_hn = alpha.swapaxes(-1, -2) @ g_agg + g_pre.swapaxes(-1, -2) @ a_nbr
             g_h = np.zeros_like(h.value)
             np.add.at(g_h, nbr_idx, g_hn)
-            g_h[0] += np.einsum("rk,rkf->f", g_self, a3[..., :f])
+            g_hs = (g_self @ a_self).reshape(h.value[rows].shape)
+            if not lead or len(set(rows.tolist())) == rows.size:
+                g_h[rows] += g_hs
+            else:
+                np.add.at(g_h, rows, g_hs)
             _accum(h, g_h)
-            g_a = np.concatenate((g_self[..., None] * h.value[0], g_pre @ hn), axis=-1)
-            _accum(a, g_a.reshape(a.value.shape))
+            g_a_nbr = g_pre @ hn
+            if lead:
+                g_a_nbr = g_a_nbr.sum(axis=0)
+            g_a_self = g_self.T @ h.value[rows].reshape(-1, f)
+            _accum(a, np.concatenate((g_a_self, g_a_nbr.reshape(-1, f)), axis=1))
+
+        return self._emit(out_val, backward)
+
+    def cross_entropy(self, logits, targets) -> Var:
+        """Mean over the rows i of a (n, K) logit matrix of
+        -log softmax(logits[i])[targets[i]].
+
+        Computed by log-sum-exp, so a target whose probability underflows
+        to 0 gives a large finite loss rather than inf.
+        """
+        x = self._lift(logits)
+        targets = np.asarray(targets, dtype=np.intp)
+        if x.value.ndim != 2 or targets.shape != (x.value.shape[0],) or targets.size == 0:
+            raise ShapeMismatch(
+                f"cross_entropy of {x.value.shape} logits with {targets.shape} targets"
+            )
+        if targets.min() < 0 or targets.max() >= x.value.shape[1]:
+            raise ShapeMismatch(f"cross_entropy target out of range 0..{x.value.shape[1] - 1}")
+        n = targets.size
+        rows = np.arange(n)
+        z = x.value - np.max(x.value, axis=1, keepdims=True)
+        e = np.exp(z)
+        total = np.sum(e, axis=1)
+        out_val = np.asarray(np.mean(np.log(total) - z[rows, targets]))
+
+        def backward(g):
+            d = e / total[:, None]
+            d[rows, targets] -= 1.0
+            _accum(x, d * (g / n))
 
         return self._emit(out_val, backward)
 
@@ -341,33 +405,40 @@ def attention_weights(
     mask: np.ndarray,
     a: np.ndarray,
     slope: float,
+    self_rows: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multi-head node-level attention weights of HAN, padded neighborhoods.
 
-    `h` (n, f) holds the node features, row 0 the attending node;
-    neighborhood r is rows ``nbr_idx[r, j]`` of `h` where ``mask[r, j]``;
-    `a` (R * heads, 2f) holds one block of heads per neighborhood, each
-    row [a_self || a_nbr]. The logit of head k for neighbor j is
-    leaky_relu(a_self . h[0] + a_nbr . h[nbr_idx[r, j]]).
+    `h` (n, f) holds the node features. Row 0 of `h` attends over P
+    neighborhoods: neighborhood p is rows ``nbr_idx[p, j]`` of `h` where
+    ``mask[p, j]``. With (B, P, L) `nbr_idx` and `mask`, B nodes do so,
+    node b being row ``self_rows[b]`` and its neighborhoods
+    ``nbr_idx[b]``. `a` (P * heads, 2f) holds one block of heads per
+    neighborhood, shared by the B nodes, each row [a_self || a_nbr]. The
+    logit of head k for neighbor j is leaky_relu(a_self . h[self] + a_nbr .
+    h[nbr_idx[..., p, j]]).
 
-    Returns the gathered neighbors (R, L, f), the logits before the
-    leaky ReLU (R, heads, L) and the weights alpha (R, heads, L), which
-    are 0 outside the mask and sum to 1 over each neighborhood.
+    Returns the gathered neighbors (..., P, L, f), the logits before the
+    leaky ReLU (..., P, heads, L) and the weights alpha (..., P, heads, L),
+    which are 0 outside the mask and sum to 1 over each neighborhood.
     """
-    if nbr_idx.ndim != 2 or mask.shape != nbr_idx.shape or nbr_idx.shape[0] == 0:
+    if nbr_idx.ndim not in (2, 3) or mask.shape != nbr_idx.shape or 0 in nbr_idx.shape[:-1]:
         raise ShapeMismatch(f"neighbor index {nbr_idx.shape} with mask {mask.shape}")
-    if not mask.any(axis=1).all():
+    if not mask.any(axis=-1).all():
         raise ShapeMismatch("attention over an empty neighborhood")
-    n_rows = nbr_idx.shape[0]
-    if h.ndim != 2 or a.ndim != 2 or a.shape[1] != 2 * h.shape[1] or a.shape[0] % n_rows:
+    lead, n_paths = nbr_idx.shape[:-2], nbr_idx.shape[-2]
+    if h.ndim != 2 or a.ndim != 2 or a.shape[1] != 2 * h.shape[1] or a.shape[0] % n_paths:
         raise ShapeMismatch(f"attention over {h.shape} features with weights {a.shape}")
-    if nbr_idx.min() < 0 or nbr_idx.max() >= h.shape[0]:
-        raise ShapeMismatch(f"neighbor index out of range 0..{h.shape[0] - 1}")
+    if lead and (self_rows is None or self_rows.shape != lead):
+        raise ShapeMismatch(f"attending rows for neighborhoods {nbr_idx.shape}: {self_rows}")
+    for idx in (nbr_idx, self_rows) if lead else (nbr_idx,):
+        if idx.min() < 0 or idx.max() >= h.shape[0]:
+            raise ShapeMismatch(f"node row out of range 0..{h.shape[0] - 1}")
     f = h.shape[1]
-    a3 = a.reshape(n_rows, -1, 2 * f)
     hn = h[nbr_idx]
-    pre = (a3[..., :f] @ h[0])[..., None] + a3[..., f:] @ hn.transpose(0, 2, 1)
-    e = np.where(mask[:, None, :], np.where(pre > 0, pre, slope * pre), -np.inf)
+    s_self = (h[self_rows] @ a[:, :f].T if lead else a[:, :f] @ h[0]).reshape(*lead, n_paths, -1)
+    pre = s_self[..., None] + a[:, f:].reshape(n_paths, -1, f) @ hn.swapaxes(-1, -2)
+    e = np.where(mask[..., None, :], np.where(pre > 0, pre, slope * pre), -np.inf)
     w = np.exp(e - e.max(axis=-1, keepdims=True))
     return hn, pre, w / w.sum(axis=-1, keepdims=True)
 

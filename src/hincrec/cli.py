@@ -111,6 +111,7 @@ def _build_parser() -> _Parser:
     rec.add_argument("--user", required=True)
     rec.add_argument("--topk", type=int, default=20)
     rec.add_argument("--cutoff", type=int, default=None)
+    rec.add_argument("--config", default=None)
     rec.add_argument("--seed", type=int, default=None)
     rec.set_defaults(func=_cmd_recommend)
     return parser
@@ -322,7 +323,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    cfg = _train_config(None)
+    cfg = _train_config(args.config)
     seed = _seed_of(args, cfg)
     ds = _load_data(args.data)
     graph = ds.graph

@@ -9,7 +9,7 @@ single user vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -93,61 +93,137 @@ class EmbedParams:
         )
 
 
-def _project(
-    tape: Tape, leaves: dict[str, Var], nodes: list[NodeRef]
-) -> tuple[Var, dict[NodeRef, int]]:
-    """Projected features M_type @ h of the distinct `nodes`, one gather and
-    one product per node type, with ``nodes[0]`` in row 0. Returns the
-    (len(nodes), head_dim) matrix and the row of each node."""
-    by_type: dict[NodeType, list[NodeRef]] = {}
-    for ref in nodes:
-        by_type.setdefault(ref.type, []).append(ref)
-    blocks: list[Var] = []
+_NODE_TYPES = tuple(NodeType)
+
+
+@dataclass(frozen=True)
+class Neighborhood:
+    """A user's meta-path neighborhoods as the index arrays that attention
+    reads.
+
+    Its rows are the distinct nodes of the neighborhoods, by node type in
+    `NodeType` order and in first-seen order within a type, so the user
+    (the first user seen) is row 0.
+    """
+
+    features: tuple[np.ndarray, ...]  # per NodeType: the rows' indices in that type
+    nbr_idx: np.ndarray               # (P, L) rows of each neighborhood, padded with 0
+    mask: np.ndarray                  # (P, L) True on the neighborhood's entries
+
+
+def _neighborhood_of(user: NodeRef, hoods: list[list[NodeRef]]) -> Neighborhood:
+    """The arrays of `user` attending over each of `hoods` (node lists)."""
+    if user.type is not NodeType.USER:
+        raise ValueError(f"only a user attends over meta-path neighborhoods, got {user!r}")
+    by_type: dict[NodeType, list[NodeRef]] = {nt: [] for nt in _NODE_TYPES}
+    for ref in distinct_nodes(user, hoods):
+        by_type[ref.type].append(ref)
     row: dict[NodeRef, int] = {}
-    for nt, refs in by_type.items():
-        row.update({ref: len(row) + i for i, ref in enumerate(refs)})
-        feats = tape.gather_rows(leaves[f"feat.{nt.value}"], [ref.index for ref in refs])
-        blocks.append(tape.matmul_t(feats, leaves[f"proj.{nt.value}"]))
-    return (blocks[0] if len(blocks) == 1 else tape.concat(blocks)), row
-
-
-def _attention_inputs(
-    tape: Tape,
-    leaves: dict[str, Var],
-    node: NodeRef,
-    hoods: list[list[NodeRef]],
-    mps: list[MetaPath],
-) -> tuple[Var, np.ndarray, np.ndarray, Var]:
-    """Arguments of `Tape.multihead_attention` for `node` attending over
-    each of `hoods` with the attention vectors of the matching meta-path:
-    projected features, padded neighbor rows, their mask, stacked vectors."""
-    h, row = _project(tape, leaves, distinct_nodes(node, hoods))
+    for refs in by_type.values():
+        row.update(zip(refs, range(len(row), len(row) + len(refs))))
     idx = np.zeros((len(hoods), max(len(hood) for hood in hoods)), dtype=np.intp)
     mask = np.zeros(idx.shape, dtype=bool)
     for r, hood in enumerate(hoods):
         idx[r, : len(hood)] = [row[ref] for ref in hood]
         mask[r, : len(hood)] = True
-    attn = [leaves[f"attn.mp{mp.id}"] for mp in mps]
-    return h, idx, mask, attn[0] if len(attn) == 1 else tape.concat(attn)
+    features = tuple(
+        np.array([ref.index for ref in refs], dtype=np.intp) for refs in by_type.values()
+    )
+    return Neighborhood(features, idx, mask)
+
+
+def neighborhood(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> Neighborhood:
+    """The arrays of `user` over the union of its sampled walks per
+    meta-path (see ``metapath_neighbors``), from `corpus` as it is now."""
+    return _neighborhood_of(user, [metapath_neighbors(corpus, user, mp) for mp in metapaths])
+
+
+# (feature table, projection) names per node type, in NodeType order
+_TABLES = tuple((f"feat.{nt.value}", f"proj.{nt.value}") for nt in _NODE_TYPES)
+
+
+def _project(tape: Tape, leaves: dict[str, Var], features: tuple[np.ndarray, ...]) -> Var:
+    """Projected features M_type @ h of the rows `features` lists, one
+    gather and one product per node type that has rows."""
+    blocks = [
+        tape.matmul_t(tape.gather_rows(leaves[feat], ids), leaves[proj])
+        for (feat, proj), ids in zip(_TABLES, features)
+        if ids.size
+    ]
+    return blocks[0] if len(blocks) == 1 else tape.concat(blocks)
 
 
 def _path_embeddings(
     tape: Tape,
     leaves: dict[str, Var],
     params: EmbedParams,
-    node: NodeRef,
-    hoods: list[list[NodeRef]],
     mps: list[MetaPath],
+    features: tuple[np.ndarray, ...],
+    nbr_idx: np.ndarray,
+    mask: np.ndarray,
+    self_rows=None,
 ) -> Var:
-    """Multi-head node-level attention aggregation, one row per neighborhood."""
-    h, idx, mask, a = _attention_inputs(tape, leaves, node, hoods, mps)
-    return tape.multihead_attention(h, idx, mask, a, params.cfg.leaky_slope)
+    """Multi-head node-level attention aggregation, one row per
+    neighborhood (see `Tape.multihead_attention`)."""
+    h = _project(tape, leaves, features)
+    attn = [leaves[f"attn.mp{mp.id}"] for mp in mps]
+    a = attn[0] if len(attn) == 1 else tape.concat(attn)
+    return tape.multihead_attention(h, nbr_idx, mask, a, params.cfg.leaky_slope, self_rows)
 
 
 def _path_scores(tape: Tape, leaves: dict[str, Var], emb: Var) -> Var:
     """Path-level scores q . tanh(W e + b), one per row e of `emb`."""
     hidden = tape.tanh(tape.matmul_t(emb, leaves["path.W"], leaves["path.b"]))
     return tape.matvec(hidden, leaves["path.q"])
+
+
+def _fuse(
+    tape: Tape,
+    leaves: dict[str, Var],
+    params: EmbedParams,
+    features: tuple[np.ndarray, ...],
+    nbr_idx: np.ndarray,
+    mask: np.ndarray,
+    self_rows=None,
+) -> tuple[Var, Var]:
+    """User vectors and path weights: node-level attention per meta-path,
+    then a softmax over each user's path scores and the weighted sum."""
+    per_path = _path_embeddings(
+        tape, leaves, params, params.metapaths, features, nbr_idx, mask, self_rows
+    )
+    beta = tape.softmax(_path_scores(tape, leaves, per_path))
+    return tape.matvec_t(per_path, beta), beta
+
+
+def build_user_embeddings(
+    tape: Tape,
+    leaves: dict[str, Var],
+    params: EmbedParams,
+    hoods: Sequence[Neighborhood],
+) -> tuple[Var, Var]:
+    """Returns the (B, dim) user vectors and (B, P) path weights of the
+    B users whose `hoods` are given, in one pass over the tape.
+
+    The users' rows are stacked by node type: every user's block of one
+    type together, in batch order, so each type takes one gather and one
+    product. A repeated user is embedded once per occurrence.
+    """
+    counts = np.array([[ids.size for ids in hood.features] for hood in hoods])
+    # first[b, t]: the stacked row where user b's block of type t starts;
+    # shift[b, t]: first[b, t] less where that block starts in b's own rows
+    per_type = counts.sum(axis=0)
+    first = (np.cumsum(per_type) - per_type) + (np.cumsum(counts, axis=0) - counts)
+    shift = first - (np.cumsum(counts, axis=1) - counts)
+    width = max(hood.nbr_idx.shape[1] for hood in hoods)
+    nbr_idx = np.zeros((len(hoods), len(params.metapaths), width), dtype=np.intp)
+    mask = np.zeros(nbr_idx.shape, dtype=bool)
+    for b, hood in enumerate(hoods):
+        w = hood.nbr_idx.shape[1]
+        nbr_idx[b, :, :w] = hood.nbr_idx + np.repeat(shift[b], counts[b])[hood.nbr_idx]
+        mask[b, :, :w] = hood.mask
+    features = tuple(np.concatenate(block) for block in zip(*(hood.features for hood in hoods)))
+    # each user is row 0 of its own layout, the first of its user block
+    return _fuse(tape, leaves, params, features, nbr_idx, mask, first[:, 0])
 
 
 def build_user_embedding(
@@ -157,17 +233,16 @@ def build_user_embedding(
     corpus: PathCorpus,
     user: NodeRef,
 ) -> tuple[Var, Var]:
-    """Returns (user vector Var, per-meta-path beta Var).
+    """Returns (user vector Var, per-meta-path beta Var): the one-user case
+    of `build_user_embeddings`, with the arrays drawn from `corpus` and
+    kept nowhere.
 
     Per meta-path, the union of the user's sampled walks (see
     ``metapath_neighbors``) is the neighborhood that is aggregated and
     fused. The result is a deterministic function of (params, corpus).
     """
-    mps = params.metapaths
-    hoods = [metapath_neighbors(corpus, user, mp) for mp in mps]
-    per_path = _path_embeddings(tape, leaves, params, user, hoods, mps)
-    beta = tape.softmax(_path_scores(tape, leaves, per_path))
-    return tape.matvec_t(per_path, beta), beta
+    hood = neighborhood(corpus, user, params.metapaths)
+    return _fuse(tape, leaves, params, hood.features, hood.nbr_idx, hood.mask)
 
 
 # -- numpy-facing wrappers over the tape builders -------------------------
@@ -180,8 +255,10 @@ def _const_leaves(tape: Tape, params: EmbedParams) -> dict[str, Var]:
 def project(params: EmbedParams, node: NodeRef) -> np.ndarray:
     """Projected feature of one node: M_type @ h_node."""
     tape = Tape(record=False)
-    h, _ = _project(tape, _const_leaves(tape, params), [node])
-    return h.value[0]
+    features = tuple(
+        np.array([node.index] if nt is node.type else [], dtype=np.intp) for nt in NodeType
+    )
+    return _project(tape, _const_leaves(tape, params), features).value[0]
 
 
 def node_attention(
@@ -195,10 +272,11 @@ def node_attention(
     if not neighborhood:
         raise ValueError("neighborhood must be nonempty")
     tape = Tape(record=False)
-    h, idx, mask, a = _attention_inputs(
-        tape, _const_leaves(tape, params), node, [neighborhood], [mp]
-    )
-    _, _, alpha = attention_weights(h.value, idx, mask, a.value, params.cfg.leaky_slope)
+    leaves = _const_leaves(tape, params)
+    hood = _neighborhood_of(node, [neighborhood])
+    h = _project(tape, leaves, hood.features).value
+    a = leaves[f"attn.mp{mp.id}"].value
+    _, _, alpha = attention_weights(h, hood.nbr_idx, hood.mask, a, params.cfg.leaky_slope)
     return alpha[0, head]
 
 
@@ -211,9 +289,9 @@ def node_aggregate(
     """Concatenated multi-head aggregation along one meta-path, over the
     union of the node's sampled walks."""
     tape = Tape(record=False)
-    hood = metapath_neighbors(corpus, node, mp)
+    hood = neighborhood(corpus, node, [mp])
     return _path_embeddings(
-        tape, _const_leaves(tape, params), params, node, [hood], [mp]
+        tape, _const_leaves(tape, params), params, [mp], hood.features, hood.nbr_idx, hood.mask
     ).value[0]
 
 

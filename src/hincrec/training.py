@@ -10,9 +10,10 @@ objective plus an entropy bonus.
 from __future__ import annotations
 
 import logging
+import math
 import time
-from dataclasses import dataclass
-from typing import Mapping, Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from .autodiff import Tape, Var
 from .graph import HinGraph, NodeRef, NodeType, Relation
 from .metapath import MetaPath, PathCorpus
 from .model import ModelParams
-from .embedding import build_user_embedding
+from .embedding import Neighborhood, build_user_embedding, build_user_embeddings, neighborhood
 from .policy import ActionSet, build_action_distribution, select_action
 
 logger = logging.getLogger("hincrec.training")
@@ -208,6 +209,26 @@ class TrainingEnv:
     n_concepts: int
     walks_per_path: int = 10
     max_walk_len: Optional[int] = None
+    # user -> (the corpus bags the arrays were computed from, the arrays)
+    _hoods: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def neighborhoods(
+        self, users: Sequence[NodeRef], metapaths: list[MetaPath]
+    ) -> list[Neighborhood]:
+        """Each user's neighborhood arrays over `corpus`. They are computed
+        on a user's first use and kept; they are computed again when any of
+        the user's bags is no longer the list object they came from, as
+        after `PathCorpus.resample_user` or `restore_user`."""
+        out = []
+        for user in users:
+            bags = [self.corpus.bag(user, mp.id) for mp in metapaths]
+            kept = self._hoods.get(user)
+            if kept is None or len(kept[0]) != len(bags) or any(
+                old is not new for old, new in zip(kept[0], bags)
+            ):
+                kept = self._hoods[user] = (bags, neighborhood(self.corpus, user, metapaths))
+            out.append(kept[1])
+        return out
 
 
 def make_training_env(
@@ -317,7 +338,11 @@ def pretrain(
 
     One episode is one mini-batch of `batch` uniformly drawn
     (user, target-concept) pairs scored over the full unmasked action
-    set. Returns the model and the per-episode mean loss trace.
+    set, in one tape pass: the users' neighborhood arrays come from
+    `env.neighborhoods`, and the loss is the fused mean cross-entropy.
+    A loss that is not finite raises FloatingPointError before the
+    parameters change. Returns the model and the per-episode mean loss
+    trace.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -329,21 +354,20 @@ def pretrain(
     if not instances:
         raise ValueError("no (user, target) pairs to pretrain on")
     adam = Adam(lr)
-    full_actions = ActionSet.full(env.n_concepts)
+    metapaths = model.embed.metapaths
     losses: list[float] = []
     for ep in range(episodes):
+        picks = [instances[int(rng.integers(len(instances)))] for _ in range(batch)]
         tape = Tape()
         leaves = model.leaves(tape)
-        total = None
-        for _ in range(batch):
-            user, target = instances[int(rng.integers(len(instances)))]
-            u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
-            dist = build_action_distribution(
-                tape, leaves, model.policy, u_var, full_actions
+        hoods = env.neighborhoods([user for user, _ in picks], metapaths)
+        u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
+        logits = tape.matmul_t(u, leaves["policy.scores"], leaves["policy.bias"])
+        loss = tape.cross_entropy(logits, [target for _, target in picks])
+        if not math.isfinite(loss.value):
+            raise FloatingPointError(
+                f"non-finite pretrain loss {float(loss.value)} in episode {ep + 1}"
             )
-            nll = tape.scale(tape.log(tape.gather_row(dist, target)), -1.0)
-            total = nll if total is None else tape.vecadd(total, nll)
-        loss = tape.scale(total, 1.0 / batch)
         grads = tape.gradients(loss, leaves)
         adam.step(model.tensors, grads, maximize=False)
         losses.append(float(loss.value))

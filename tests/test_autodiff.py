@@ -125,6 +125,18 @@ class TestForward:
                 np.eye(2), [[0, 1], [1, 0]], [[True, True], [False, False]], np.ones((2, 4)), 0.2
             )
 
+    def test_cross_entropy_log_sum_exp(self):
+        tape = Tape()
+        logits = np.array([[0.0, -1e4, 5.0], [1.0, 2.0, 3.0]])
+        loss = tape.cross_entropy(tape.leaf(logits), [1, 2])
+        # the first target's probability underflows to 0
+        assert tape.softmax(logits[0]).value[1] == 0.0
+        want = (1e4 + 5.0 + np.log1p(np.exp(-5.0) + np.exp(-1e4 - 5.0))
+                + 2.0 - 3.0 + np.log(np.sum(np.exp(logits[1] - 2.0))))
+        assert float(loss.value) == pytest.approx(want / 2, rel=1e-12)
+        with pytest.raises(ShapeMismatch):
+            tape.cross_entropy(tape.leaf(logits), [0, 3])
+
     def test_gather_row(self):
         tape = Tape()
         m = tape.leaf(np.arange(6.0).reshape(3, 2))
@@ -202,6 +214,8 @@ class TestGradCheck:
         p["H"] = att_rng.normal(0, 1, (5, 3))
         p["a1"] = att_rng.normal(0, 1, (2, 6))
         p["a2"] = att_rng.normal(0, 1, (4, 6))
+        p["W6"] = att_rng.normal(0, 1, (3, 6))
+        p["q6"] = att_rng.normal(0, 1, 6)
         # two padded neighborhoods over the rows of H; row 3 appears twice
         # in the second, the attending row 0 in both
         nbr_idx = np.array([[0, 2, 4, 0], [1, 3, 3, 0]])
@@ -305,9 +319,67 @@ class TestGradCheck:
             out = t.multihead_attention(lv["H"], nbr_idx, nbr_mask, lv["a2"], 0.2)
             return t.vsum(t.tanh(out))
 
+        # three nodes attending over two neighborhoods each, with the same
+        # two blocks of heads; rows 1 and 2 attend, row 2 twice
+        batch_idx = np.stack([nbr_idx, nbr_idx[::-1], [[2, 4, 0, 0], [3, 1, 2, 0]]])
+        batch_mask = np.stack([nbr_mask, nbr_mask[::-1], [[1, 1, 0, 0], [1, 1, 1, 0]]]) > 0
+
+        @case("multihead_attention_batched")
+        def _(t, lv):
+            out = t.multihead_attention(
+                lv["H"], batch_idx[:2], batch_mask[:2], lv["a2"], 0.2, [1, 2]
+            )
+            return t.vsum(t.tanh(out))
+
+        @case("multihead_attention_batched_shared_self")
+        def _(t, lv):
+            out = t.multihead_attention(
+                lv["H"], batch_idx, batch_mask, lv["a2"], 0.2, [1, 2, 2]
+            )
+            return t.vsum(t.tanh(out))
+
+        @case("matmul_t_batched")
+        def _(t, lv):
+            stacked = t.multihead_attention(
+                lv["H"], batch_idx, batch_mask, lv["a2"], 0.2, [0, 1, 2]
+            )
+            return t.vsum(t.tanh(t.matmul_t(stacked, lv["W6"], lv["x"])))
+
+        @case("softmax_rows")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.softmax(t.matmul_t(lv["H"], lv["A"]))))
+
+        @case("cross_entropy")
+        def _(t, lv):
+            return t.cross_entropy(t.matmul_t(lv["H"], lv["A"]), [3, 0, 0, 2, 1])
+
         for name, fn in cases.items():
             err = grad_check(fn, p, eps=1e-5)
             assert err < 1e-7, f"primitive {name}: relative error {err}"
+
+    def test_batched_path_fusion(self):
+        # matvec, softmax and matvec_t over (nodes, paths), as the user
+        # embedding fuses the meta-paths of a batch
+        # the attention inputs of test_each_primitive_backward, whose logits
+        # take both signs in every head
+        rng = np.random.default_rng(7)
+        p = {"H": rng.normal(0, 1, (5, 3))}
+        rng.normal(0, 1, (2, 6))
+        p["a"] = rng.normal(0, 1, (4, 6))
+        rng.normal(0, 1, (3, 6))
+        p["q"] = rng.normal(0, 1, 6)
+        idx = np.array([[[0, 2, 4, 0], [1, 3, 3, 0]], [[1, 3, 3, 0], [0, 2, 4, 0]],
+                        [[2, 4, 0, 0], [3, 1, 2, 0]]])
+        mask = np.array([[[1, 1, 1, 0], [1, 1, 1, 1]], [[1, 1, 1, 1], [1, 1, 1, 0]],
+                         [[1, 1, 0, 0], [1, 1, 1, 0]]]) > 0
+
+        def f(t, lv):
+            per_path = t.multihead_attention(lv["H"], idx, mask, lv["a"], 0.2, [0, 1, 2])
+            weights = t.softmax(t.matvec(per_path, lv["q"]))
+            return t.vsum(t.tanh(t.matvec_t(per_path, weights)))
+
+        # compositions accumulate a little finite-difference truncation
+        assert grad_check(f, p, eps=1e-5) < 1e-6
 
     def test_reused_subexpression(self):
         # one Var consumed twice must accumulate both contributions

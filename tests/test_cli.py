@@ -3,6 +3,10 @@ import pytest
 
 from hincrec.cli import main
 from hincrec.data import load_dataset
+from hincrec.graph import NodeRef, NodeType, Relation
+from hincrec.metapath import PathCorpus
+from hincrec.metrics import PolicyScorer
+from hincrec.model import ModelParams
 from hincrec.serialize import MAGIC
 
 SYNTH_CFG = """\
@@ -145,6 +149,34 @@ def test_pretrain_subcommand(workspace):
     )
     assert code == 0
     assert ckpt.exists()
+
+
+def test_recommend_walks_with_the_config(workspace, capsys):
+    # run.cfg sets N = 4 walks per meta-path and seed 5
+    data, ckpt, cfg = workspace / "data", workspace / "sl.bin", workspace / "run.cfg"
+    assert main(["pretrain", "--config", str(cfg), "--data", str(data), "--ckpt", str(ckpt),
+                 "--cutoff", str(CUTOFF)]) == 0
+    capsys.readouterr()
+    assert main(["recommend", "--ckpt", str(ckpt), "--data", str(data), "--user", "u0",
+                 "--topk", "5", "--config", str(cfg)]) == 0
+    printed = capsys.readouterr().out.strip().splitlines()
+
+    ds = load_dataset(data / "nodes.tsv", data / "edges.tsv")
+    model = ModelParams.load(ckpt)
+    user = ds.ids.ref("u0")
+    clicked = {ref.index for ref in ds.graph.neighbors(user, Relation.CLICK)}
+
+    def top5(walks):
+        corpus = PathCorpus.build(ds.graph, [user], model.embed.metapaths, n=walks,
+                                  max_len=5, rng=np.random.default_rng(5))
+        logits = PolicyScorer(model, ds.graph, corpus).logits(user)
+        order = sorted((c for c in range(len(logits)) if c not in clicked),
+                       key=lambda c: (-logits[c], c))
+        return [f"{rank}\t{ds.ids.name(NodeRef(NodeType.CONCEPT, c))}\t{logits[c]:.6f}"
+                for rank, c in enumerate(order[:5], start=1)]
+
+    assert printed == top5(4)
+    assert printed != top5(10)
 
 
 def test_unknown_flag_exits_1(workspace, capsys):

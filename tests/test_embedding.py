@@ -11,6 +11,8 @@ from hincrec.embedding import (
     EmbedConfig,
     EmbedParams,
     build_user_embedding,
+    build_user_embeddings,
+    neighborhood,
     node_aggregate,
     node_attention,
     path_attention,
@@ -382,3 +384,147 @@ class TestPolicyScorerLogits:
             u, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
             want = policy_logits(tape, leaves, u).value
             assert np.array_equal(scorer.logits(user), want)
+
+
+# -- the batched builder ---------------------------------------------------------
+
+
+def per_user_loss(tape, leaves, model, corpus, pairs):
+    """Mean cross-entropy of (user, target) pairs, one user at a time: the
+    user's embedding, the action distribution and the log of the target's
+    probability."""
+    actions = ActionSet.full(model.policy.n_concepts)
+    total = None
+    for user, target in pairs:
+        u, _ = build_user_embedding(tape, leaves, model.embed, corpus, user)
+        dist = build_action_distribution(tape, leaves, model.policy, u, actions)
+        nll = tape.scale(tape.log(tape.gather_row(dist, target)), -1.0)
+        total = nll if total is None else tape.vecadd(total, nll)
+    return tape.scale(total, 1.0 / len(pairs))
+
+
+def batch_loss(tape, leaves, model, corpus, pairs):
+    """The same loss as pretrain builds it: one batched embedding, one
+    logit product and the fused cross-entropy."""
+    hoods = [neighborhood(corpus, user, model.embed.metapaths) for user, _ in pairs]
+    u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
+    logits = tape.matmul_t(u, leaves["policy.scores"], leaves["policy.bias"])
+    return tape.cross_entropy(logits, [target for _, target in pairs])
+
+
+def batch_model(acceptance_world):
+    """A model with drawn policy tensors, and a batch holding both
+    self-only-fallback users, a repeated pair and a repeated target."""
+    env, graph = acceptance_world
+    model = init_model(graph, builtin_metapaths(), EmbedConfig(), rng=np.random.default_rng(4))
+    rng = np.random.default_rng(6)
+    for arr in model.policy.tensors.values():
+        arr[...] = rng.normal(size=arr.shape)
+    instances = [(u, c) for u in env.users for c in sorted(env.targets[u])]
+    drawn = [instances[int(i)] for i in rng.integers(len(instances), size=6)]
+    first, last = env.users[0], env.users[-1]
+    pairs = [(first, min(env.targets[first])), *drawn, (last, drawn[0][1]), drawn[1]]
+    return env, model, pairs
+
+
+class TestBatchedEmbedding:
+    def test_gradients_match_per_user_composition(self, acceptance_world):
+        env, model, pairs = batch_model(acceptance_world)
+        got = []
+        for build in (per_user_loss, batch_loss):
+            tape = Tape()
+            leaves = model.leaves(tape)
+            loss = build(tape, leaves, model, env.corpus, pairs)
+            got.append((float(loss.value), tape.gradients(loss, leaves)))
+        (want_loss, want), (loss, grads) = got
+        assert abs(loss - want_loss) <= 1e-12
+        for name in want:
+            assert np.max(np.abs(grads[name] - want[name])) <= 1e-12, name
+
+    def test_rows_are_the_single_user_embeddings(self, acceptance_world):
+        env, model, pairs = batch_model(acceptance_world)
+        users = [user for user, _ in pairs]
+        tape = Tape(record=False)
+        leaves = model.leaves(tape)
+        hoods = [neighborhood(env.corpus, user, model.embed.metapaths) for user in users]
+        u, beta = build_user_embeddings(tape, leaves, model.embed, hoods)
+        assert u.value.shape == (len(users), model.embed.cfg.dim)
+        assert beta.value.shape == (len(users), len(model.embed.metapaths))
+        for b, user in enumerate(users):
+            u1, beta1 = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
+            assert np.max(np.abs(u.value[b] - u1.value)) <= 1e-12, user
+            assert np.max(np.abs(beta.value[b] - beta1.value)) <= 1e-12, user
+
+    def test_matches_unfused(self, acceptance_world):
+        # 0.5 |u_b|^2 + c . beta_b summed over the batch, against the same
+        # sum of the unfused composition, user by user
+        env, model, pairs = batch_model(acceptance_world)
+        params = model.embed
+        users = [user for user, _ in pairs]
+        tape = Tape()
+        leaves = _leaves(tape, params)
+        hoods = [neighborhood(env.corpus, user, params.metapaths) for user in users]
+        u, beta = build_user_embeddings(tape, leaves, params, hoods)
+        c = tape.leaf(np.linspace(-1.0, 1.0, len(params.metapaths)))
+        loss = None
+        for b in range(len(users)):
+            u_b = tape.gather_row(u, b)
+            term = tape.vecadd(
+                tape.scale(unfused.dot(tape, u_b, u_b), 0.5),
+                unfused.dot(tape, tape.gather_row(beta, b), c),
+            )
+            loss = term if loss is None else tape.vecadd(loss, term)
+        grads = tape.gradients(loss, leaves)
+        tape = Tape()
+        leaves = _leaves(tape, params)
+        total = None
+        for user in users:
+            *_, term = embedding_loss(
+                tape, leaves, params, env.corpus, user, unfused.user_embedding
+            )
+            total = term if total is None else tape.vecadd(total, term)
+        want = tape.gradients(total, leaves)
+        assert abs(float(loss.value) - float(total.value)) <= 1e-12
+        scale = max(np.max(np.abs(g)) for g in want.values())
+        for name, g in want.items():
+            assert np.max(np.abs(grads[name] - g)) <= 1e-9 * scale, name
+
+    def test_cached_user_embeds_from_new_bags(self):
+        ds = generate_synthetic(SynthConfig(users=20, concepts=10, clusters=2, courses=4,
+                                            videos=8, clicks_per_user=8, seed=2))
+        hold = holdout_targets(ds, 0.5)
+        mps = builtin_metapaths()
+        env = make_training_env(hold.graph, hold.targets, mps, walks_per_path=5,
+                                max_walk_len=5, rng=np.random.default_rng(2))
+        params = EmbedParams(EmbedConfig(dim=8, heads=2), hold.graph.node_counts, mps,
+                             np.random.default_rng(3))
+        user = env.users[0]
+
+        def arrays(hood):
+            return [*hood.features, hood.nbr_idx, hood.mask]
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
+
+        def embeds_from_corpus():
+            tape = Tape(record=False)
+            leaves = _leaves(tape, params)
+            u, _ = build_user_embeddings(tape, leaves, params, env.neighborhoods([user], mps))
+            want, _ = build_user_embedding(tape, leaves, params, env.corpus, user)
+            return np.array_equal(u.value[0], want.value)
+
+        first = env.neighborhoods([user], mps)[0]
+        assert env.neighborhoods([user], mps)[0] is first
+        saved = env.corpus.snapshot_user(user)
+        env.corpus.resample_user(env.graph, user, n=5, max_len=5, rng=np.random.default_rng(9))
+        resampled = env.neighborhoods([user], mps)[0]
+        assert not same(resampled, first)
+        assert same(resampled, neighborhood(env.corpus, user, mps))
+        assert embeds_from_corpus()
+        env.corpus.restore_user(user, saved)
+        restored = env.neighborhoods([user], mps)[0]
+        assert restored is not first and same(restored, first)
+        assert embeds_from_corpus()
+        # another meta-path list is another neighborhood
+        one_path = env.neighborhoods([user], mps[:1])[0]
+        assert same(one_path, neighborhood(env.corpus, user, mps[:1]))

@@ -70,7 +70,12 @@ def user_bags(env, user):
 def assert_tensors_equal(a, b):
     assert a.keys() == b.keys()
     for k in a:
-        assert np.array_equal(a[k], b[k]), k
+        assert np.array_equal(a[k], b[k], equal_nan=True), k
+
+
+def poison(model):
+    """A NaN in one entry of the path scorer, which every user reaches."""
+    model.embed.tensors["path.W"][0, 0] = np.nan
 
 
 class TestEpisodeInvariants:
@@ -154,6 +159,23 @@ class TestPretrain:
         last_epoch = float(np.mean(losses[-100:]))
         assert last_epoch < first_epoch
 
+    def test_nan_parameter_stops_before_the_update(self):
+        env, model, rng = small_world(seed=5)
+        poison(model)
+        before = snapshot(model)
+        digest = env.graph.snapshot_digest()
+        with pytest.raises(FloatingPointError, match="non-finite pretrain loss"):
+            pretrain(model, env, episodes=3, lr=1e-3, batch=4, rng=rng)
+        assert_tensors_equal(snapshot(model), before)
+        assert env.graph.snapshot_digest() == digest
+
+    def test_neighborhoods_are_computed_on_first_use(self):
+        env, model, rng = small_world(seed=5)
+        assert env._hoods == {}
+        pretrain(model, env, episodes=2, lr=1e-3, batch=3, rng=rng)
+        assert 0 < len(env._hoods) <= 6
+        assert set(env._hoods) <= set(env.users)
+
     def test_defaults_match_contract(self):
         import inspect
 
@@ -215,6 +237,18 @@ class TestTrainRL:
         assert env.graph.snapshot_digest() == digest
         assert env.corpus.snapshot_user(user) == bags
         assert_tensors_equal(snapshot(model), before)
+
+    def test_nan_parameter_stops_before_the_update(self):
+        env, model, rng = small_world(seed=7)
+        poison(model)
+        before = snapshot(model)
+        digest = env.graph.snapshot_digest()
+        bags = {user: user_bags(env, user) for user in env.users}
+        with pytest.raises(FloatingPointError, match="non-finite gradient for "):
+            train_rl(model, env, episodes=3, horizon=4, rng=rng)
+        assert_tensors_equal(snapshot(model), before)
+        assert env.graph.snapshot_digest() == digest
+        assert {user: user_bags(env, user) for user in env.users} == bags
 
     def test_failed_rollout_removes_its_edges(self, monkeypatch):
         env, model, rng = small_world(seed=3)
