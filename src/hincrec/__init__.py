@@ -8,10 +8,7 @@ from .embedding import (
     EmbedConfig,
     EmbedParams,
     UserEmbedding,
-    node_aggregate,
     node_attention,
-    path_attention,
-    project,
     user_embedding,
 )
 from .policy import (
@@ -19,7 +16,6 @@ from .policy import (
     ActionSet,
     EmptyActionSet,
     PolicyParams,
-    action_distribution,
     select_action,
 )
 from .model import ModelParams, init_model

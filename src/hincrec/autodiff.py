@@ -46,9 +46,8 @@ class Tape:
     bookkeeping), which is the fast path for evaluation.
     """
 
-    def __init__(self, record: bool = True, check_finite: bool = False):
+    def __init__(self, record: bool = True):
         self.record = record
-        self.check_finite = check_finite
         self._nodes: list[Var] = []
 
     # -- construction ----------------------------------------------------
@@ -64,8 +63,6 @@ class Tape:
 
     def _emit(self, value: np.ndarray, backward) -> Var:
         out = Var(value)
-        if self.check_finite and not np.all(np.isfinite(value)):
-            raise FloatingPointError("non-finite value produced on tape")
         if self.record:
             out._backward = backward
             self._nodes.append(out)
@@ -94,18 +91,11 @@ class Tape:
         a, x = self._lift(a), self._lift(x)
         if a.value.ndim < 2 or a.value.shape[:-1] != x.value.shape:
             raise ShapeMismatch(f"matvec_t {a.value.shape}.T @ {x.value.shape}")
-        if x.value.ndim == 1:
-            out_val = a.value.T @ x.value
-        else:
-            out_val = (x.value[..., None, :] @ a.value)[..., 0, :]
+        out_val = (x.value[..., None, :] @ a.value)[..., 0, :]
 
         def backward(g):
-            if x.value.ndim == 1:
-                _accum(a, np.outer(x.value, g))
-                _accum(x, a.value @ g)
-            else:
-                _accum(a, x.value[..., None] * g[..., None, :])
-                _accum(x, (a.value @ g[..., None])[..., 0])
+            _accum(a, x.value[..., None] * g[..., None, :])
+            _accum(x, (a.value @ g[..., None])[..., 0])
 
         return self._emit(out_val, backward)
 
@@ -169,18 +159,11 @@ class Tape:
         x = self._lift(x)
         if x.value.ndim == 0 or x.value.size == 0:
             raise ShapeMismatch("softmax expects a nonempty vector or array")
-        if x.value.ndim == 1:
-            e = np.exp(x.value - np.max(x.value))
-            p = e / np.sum(e)
-        else:
-            e = np.exp(x.value - np.max(x.value, axis=-1, keepdims=True))
-            p = e / np.sum(e, axis=-1, keepdims=True)
+        e = np.exp(x.value - np.max(x.value, axis=-1, keepdims=True))
+        p = e / np.sum(e, axis=-1, keepdims=True)
 
         def backward(g):
-            if p.ndim == 1:
-                _accum(x, p * (g - np.dot(p, g)))
-            else:
-                _accum(x, p * (g - np.sum(p * g, axis=-1, keepdims=True)))
+            _accum(x, p * (g - np.sum(p * g, axis=-1, keepdims=True)))
 
         return self._emit(p, backward)
 
@@ -207,7 +190,9 @@ class Tape:
 
     def log(self, x) -> Var:
         x = self._lift(x)
-        # log(0) and log(<0) are left to check_finite, not warned about.
+        # log(0) and log(<0) are not warned about: a non-finite value is
+        # caught where training reads it, at the pretrain loss and in
+        # Adam.step.
         with np.errstate(divide="ignore", invalid="ignore"):
             out_val = np.log(x.value)
 
@@ -281,10 +266,10 @@ class Tape:
         return self._emit(out_val, backward)
 
     def matmul_t(self, a, b, bias=None) -> Var:
-        """a @ b.T for an array a (..., k) and a matrix b (m, k), plus an
-        optional bias vector (m,) added to every row."""
+        """a @ b.T for a vector or array a (..., k) and a matrix b (m, k),
+        plus an optional bias vector (m,) added to every row."""
         a, b = self._lift(a), self._lift(b)
-        if a.value.ndim < 2 or b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[1]:
+        if a.value.ndim < 1 or b.value.ndim != 2 or a.value.shape[-1] != b.value.shape[1]:
             raise ShapeMismatch(f"matmul_t {a.value.shape} @ {b.value.shape}.T")
         out_val = a.value @ b.value.T
         if bias is not None:
@@ -302,30 +287,25 @@ class Tape:
 
         return self._emit(out_val, backward)
 
-    def multihead_attention(
-        self, h, nbr_idx, mask, a, slope: float = 0.2, self_rows=None
-    ) -> Var:
-        """HAN node-level attention over P neighborhoods, all heads at once
-        (see `attention_weights` for the arguments).
+    def multihead_attention(self, h, nbr_idx, mask, a, slope: float, self_rows) -> Var:
+        """HAN node-level attention of B nodes over P neighborhoods each, all
+        heads at once (see `attention_weights` for the arguments).
 
-        With (P, L) `nbr_idx` and `mask`, row 0 of `h` attends, and row p of
-        the (P, heads * f) result is the concatenation over heads k of
-        leaky_relu(sum_j alpha[p, k, j] * h[nbr_idx[p, j]]). With (B, P, L)
-        arrays, row ``self_rows[b]`` attends over neighborhoods
-        ``nbr_idx[b]`` with the same P blocks of attention vectors for every
-        b, and the result is (B, P, heads * f).
+        Row ``self_rows[b]`` of `h` attends over neighborhoods
+        ``nbr_idx[b]``, with the same P blocks of attention vectors for
+        every b. Entry (b, p) of the (B, P, heads * f) result is the
+        concatenation over heads k of
+        leaky_relu(sum_j alpha[b, p, k, j] * h[nbr_idx[b, p, j]]).
         """
         h, a = self._lift(h), self._lift(a)
         nbr_idx = np.asarray(nbr_idx, dtype=np.intp)
         mask = np.asarray(mask, dtype=bool)
-        rows = None if self_rows is None else np.asarray(self_rows, dtype=np.intp)
+        rows = np.asarray(self_rows, dtype=np.intp)
         hn, pre, alpha = attention_weights(h.value, nbr_idx, mask, a.value, slope, rows)
-        *lead, n_paths, heads, _ = alpha.shape
-        if not lead:
-            rows = 0
+        n_nodes, n_paths, heads, _ = alpha.shape
         f = h.value.shape[1]
         agg = alpha @ hn
-        out_val = np.where(agg > 0, agg, slope * agg).reshape(*lead, n_paths, heads * f)
+        out_val = np.where(agg > 0, agg, slope * agg).reshape(n_nodes, n_paths, heads * f)
 
         def backward(g):
             a_self, a_nbr = a.value[:, :f], a.value[:, f:].reshape(n_paths, heads, f)
@@ -333,20 +313,18 @@ class Tape:
             g_alpha = g_agg @ hn.swapaxes(-1, -2)
             g_e = alpha * (g_alpha - np.sum(alpha * g_alpha, axis=-1, keepdims=True))
             g_pre = g_e * np.where(pre > 0, 1.0, slope)
-            g_self = g_pre.sum(axis=-1).reshape(-1, n_paths * heads)
+            g_self = g_pre.sum(axis=-1).reshape(n_nodes, n_paths * heads)
             g_hn = alpha.swapaxes(-1, -2) @ g_agg + g_pre.swapaxes(-1, -2) @ a_nbr
             g_h = np.zeros_like(h.value)
             np.add.at(g_h, nbr_idx, g_hn)
-            g_hs = (g_self @ a_self).reshape(h.value[rows].shape)
-            if not lead or len(set(rows.tolist())) == rows.size:
+            g_hs = g_self @ a_self
+            if len(set(rows.tolist())) == rows.size:
                 g_h[rows] += g_hs
             else:
                 np.add.at(g_h, rows, g_hs)
             _accum(h, g_h)
-            g_a_nbr = g_pre @ hn
-            if lead:
-                g_a_nbr = g_a_nbr.sum(axis=0)
-            g_a_self = g_self.T @ h.value[rows].reshape(-1, f)
+            g_a_nbr = (g_pre @ hn).sum(axis=0)
+            g_a_self = g_self.T @ h.value[rows]
             _accum(a, np.concatenate((g_a_self, g_a_nbr.reshape(-1, f)), axis=1))
 
         return self._emit(out_val, backward)
@@ -405,38 +383,37 @@ def attention_weights(
     mask: np.ndarray,
     a: np.ndarray,
     slope: float,
-    self_rows: Optional[np.ndarray] = None,
+    self_rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Multi-head node-level attention weights of HAN, padded neighborhoods.
 
-    `h` (n, f) holds the node features. Row 0 of `h` attends over P
-    neighborhoods: neighborhood p is rows ``nbr_idx[p, j]`` of `h` where
-    ``mask[p, j]``. With (B, P, L) `nbr_idx` and `mask`, B nodes do so,
-    node b being row ``self_rows[b]`` and its neighborhoods
-    ``nbr_idx[b]``. `a` (P * heads, 2f) holds one block of heads per
-    neighborhood, shared by the B nodes, each row [a_self || a_nbr]. The
-    logit of head k for neighbor j is leaky_relu(a_self . h[self] + a_nbr .
-    h[nbr_idx[..., p, j]]).
+    `h` (n, f) holds the node features. B nodes attend over P
+    neighborhoods each: node b is row ``self_rows[b]`` of `h`, and its
+    neighborhood p is rows ``nbr_idx[b, p, j]`` of `h` where
+    ``mask[b, p, j]``, for (B, P, L) `nbr_idx` and `mask`. `a`
+    (P * heads, 2f) holds one block of heads per neighborhood, shared by
+    the B nodes, each row [a_self || a_nbr]. The logit of head k for
+    neighbor j is leaky_relu(a_self . h[self] + a_nbr . h[nbr_idx[b, p, j]]).
 
-    Returns the gathered neighbors (..., P, L, f), the logits before the
-    leaky ReLU (..., P, heads, L) and the weights alpha (..., P, heads, L),
+    Returns the gathered neighbors (B, P, L, f), the logits before the
+    leaky ReLU (B, P, heads, L) and the weights alpha (B, P, heads, L),
     which are 0 outside the mask and sum to 1 over each neighborhood.
     """
-    if nbr_idx.ndim not in (2, 3) or mask.shape != nbr_idx.shape or 0 in nbr_idx.shape[:-1]:
+    if nbr_idx.ndim != 3 or mask.shape != nbr_idx.shape or 0 in nbr_idx.shape[:-1]:
         raise ShapeMismatch(f"neighbor index {nbr_idx.shape} with mask {mask.shape}")
     if not mask.any(axis=-1).all():
         raise ShapeMismatch("attention over an empty neighborhood")
-    lead, n_paths = nbr_idx.shape[:-2], nbr_idx.shape[-2]
+    n_nodes, n_paths = nbr_idx.shape[:2]
     if h.ndim != 2 or a.ndim != 2 or a.shape[1] != 2 * h.shape[1] or a.shape[0] % n_paths:
         raise ShapeMismatch(f"attention over {h.shape} features with weights {a.shape}")
-    if lead and (self_rows is None or self_rows.shape != lead):
+    if self_rows.shape != (n_nodes,):
         raise ShapeMismatch(f"attending rows for neighborhoods {nbr_idx.shape}: {self_rows}")
-    for idx in (nbr_idx, self_rows) if lead else (nbr_idx,):
+    for idx in (nbr_idx, self_rows):
         if idx.min() < 0 or idx.max() >= h.shape[0]:
             raise ShapeMismatch(f"node row out of range 0..{h.shape[0] - 1}")
     f = h.shape[1]
     hn = h[nbr_idx]
-    s_self = (h[self_rows] @ a[:, :f].T if lead else a[:, :f] @ h[0]).reshape(*lead, n_paths, -1)
+    s_self = (h[self_rows] @ a[:, :f].T).reshape(n_nodes, n_paths, -1)
     pre = s_self[..., None] + a[:, f:].reshape(n_paths, -1, f) @ hn.swapaxes(-1, -2)
     e = np.where(mask[..., None, :], np.where(pre > 0, pre, slope * pre), -np.inf)
     w = np.exp(e - e.max(axis=-1, keepdims=True))

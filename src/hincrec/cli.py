@@ -59,6 +59,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hincrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -101,7 +111,7 @@ def _build_parser() -> _Parser:
     ev.add_argument("--config", default=None)
     ev.add_argument("--seed", type=int, default=None)
     ev.add_argument("--scorer", choices=("model", "random", "popularity"), default="model")
-    ev.add_argument("--negatives", type=int, default=99)
+    ev.add_argument("--negatives", type=_positive_int, default=99)
     ev.add_argument("--pretty", action="store_true")
     ev.set_defaults(func=_cmd_eval)
 
@@ -109,7 +119,7 @@ def _build_parser() -> _Parser:
     rec.add_argument("--ckpt", required=True)
     rec.add_argument("--data", required=True)
     rec.add_argument("--user", required=True)
-    rec.add_argument("--topk", type=int, default=20)
+    rec.add_argument("--topk", type=_positive_int, default=20)
     rec.add_argument("--cutoff", type=int, default=None)
     rec.add_argument("--config", default=None)
     rec.add_argument("--seed", type=int, default=None)

@@ -134,7 +134,20 @@ def _neighborhood_of(user: NodeRef, hoods: list[list[NodeRef]]) -> Neighborhood:
 
 def neighborhood(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> Neighborhood:
     """The arrays of `user` over the union of its sampled walks per
-    meta-path (see ``metapath_neighbors``), from `corpus` as it is now."""
+    meta-path (see ``metapath_neighbors``). `corpus` keeps them, by
+    meta-path ids, from their first use until the user's bags are next
+    written."""
+    kept = corpus.kept(user)
+    key = tuple(mp.id for mp in metapaths)
+    hood = kept.get(key)
+    if hood is None:
+        hood = kept[key] = _walked_neighborhood(corpus, user, metapaths)
+    return hood
+
+
+def _walked_neighborhood(
+    corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]
+) -> Neighborhood:
     return _neighborhood_of(user, [metapath_neighbors(corpus, user, mp) for mp in metapaths])
 
 
@@ -153,48 +166,6 @@ def _project(tape: Tape, leaves: dict[str, Var], features: tuple[np.ndarray, ...
     return blocks[0] if len(blocks) == 1 else tape.concat(blocks)
 
 
-def _path_embeddings(
-    tape: Tape,
-    leaves: dict[str, Var],
-    params: EmbedParams,
-    mps: list[MetaPath],
-    features: tuple[np.ndarray, ...],
-    nbr_idx: np.ndarray,
-    mask: np.ndarray,
-    self_rows=None,
-) -> Var:
-    """Multi-head node-level attention aggregation, one row per
-    neighborhood (see `Tape.multihead_attention`)."""
-    h = _project(tape, leaves, features)
-    attn = [leaves[f"attn.mp{mp.id}"] for mp in mps]
-    a = attn[0] if len(attn) == 1 else tape.concat(attn)
-    return tape.multihead_attention(h, nbr_idx, mask, a, params.cfg.leaky_slope, self_rows)
-
-
-def _path_scores(tape: Tape, leaves: dict[str, Var], emb: Var) -> Var:
-    """Path-level scores q . tanh(W e + b), one per row e of `emb`."""
-    hidden = tape.tanh(tape.matmul_t(emb, leaves["path.W"], leaves["path.b"]))
-    return tape.matvec(hidden, leaves["path.q"])
-
-
-def _fuse(
-    tape: Tape,
-    leaves: dict[str, Var],
-    params: EmbedParams,
-    features: tuple[np.ndarray, ...],
-    nbr_idx: np.ndarray,
-    mask: np.ndarray,
-    self_rows=None,
-) -> tuple[Var, Var]:
-    """User vectors and path weights: node-level attention per meta-path,
-    then a softmax over each user's path scores and the weighted sum."""
-    per_path = _path_embeddings(
-        tape, leaves, params, params.metapaths, features, nbr_idx, mask, self_rows
-    )
-    beta = tape.softmax(_path_scores(tape, leaves, per_path))
-    return tape.matvec_t(per_path, beta), beta
-
-
 def build_user_embeddings(
     tape: Tape,
     leaves: dict[str, Var],
@@ -202,28 +173,44 @@ def build_user_embeddings(
     hoods: Sequence[Neighborhood],
 ) -> tuple[Var, Var]:
     """Returns the (B, dim) user vectors and (B, P) path weights of the
-    B users whose `hoods` are given, in one pass over the tape.
+    B users whose `hoods` are given, in one pass over the tape:
+    multi-head node-level attention per meta-path, then a softmax over
+    each user's path scores q . tanh(W e + b) and the weighted sum.
 
     The users' rows are stacked by node type: every user's block of one
     type together, in batch order, so each type takes one gather and one
     product. A repeated user is embedded once per occurrence.
     """
-    counts = np.array([[ids.size for ids in hood.features] for hood in hoods])
-    # first[b, t]: the stacked row where user b's block of type t starts;
-    # shift[b, t]: first[b, t] less where that block starts in b's own rows
-    per_type = counts.sum(axis=0)
-    first = (np.cumsum(per_type) - per_type) + (np.cumsum(counts, axis=0) - counts)
-    shift = first - (np.cumsum(counts, axis=1) - counts)
+    # start[t]: the stacked row where the next user's block of type t begins
+    start, total, features = [], 0, []
+    for block in zip(*(hood.features for hood in hoods)):
+        start.append(total)
+        total += sum(ids.size for ids in block)
+        features.append(block[0] if len(block) == 1 else np.concatenate(block))
     width = max(hood.nbr_idx.shape[1] for hood in hoods)
     nbr_idx = np.zeros((len(hoods), len(params.metapaths), width), dtype=np.intp)
     mask = np.zeros(nbr_idx.shape, dtype=bool)
+    self_rows = []
     for b, hood in enumerate(hoods):
+        # rows[r]: the stacked row of row r of the user's own layout
+        rows = []
+        for t, ids in enumerate(hood.features):
+            rows.extend(range(start[t], start[t] + ids.size))
+            start[t] += ids.size
+        # each user is row 0 of its own layout
+        self_rows.append(rows[0])
         w = hood.nbr_idx.shape[1]
-        nbr_idx[b, :, :w] = hood.nbr_idx + np.repeat(shift[b], counts[b])[hood.nbr_idx]
+        nbr_idx[b, :, :w] = np.array(rows)[hood.nbr_idx]
         mask[b, :, :w] = hood.mask
-    features = tuple(np.concatenate(block) for block in zip(*(hood.features for hood in hoods)))
-    # each user is row 0 of its own layout, the first of its user block
-    return _fuse(tape, leaves, params, features, nbr_idx, mask, first[:, 0])
+    h = _project(tape, leaves, features)
+    attn = [leaves[f"attn.mp{mp.id}"] for mp in params.metapaths]
+    a = attn[0] if len(attn) == 1 else tape.concat(attn)
+    per_path = tape.multihead_attention(
+        h, nbr_idx, mask, a, params.cfg.leaky_slope, self_rows
+    )
+    hidden = tape.tanh(tape.matmul_t(per_path, leaves["path.W"], leaves["path.b"]))
+    beta = tape.softmax(tape.matvec(hidden, leaves["path.q"]))
+    return tape.matvec_t(per_path, beta), beta
 
 
 def build_user_embedding(
@@ -233,16 +220,17 @@ def build_user_embedding(
     corpus: PathCorpus,
     user: NodeRef,
 ) -> tuple[Var, Var]:
-    """Returns (user vector Var, per-meta-path beta Var): the one-user case
-    of `build_user_embeddings`, with the arrays drawn from `corpus` and
-    kept nowhere.
+    """Returns (user vector Var, per-meta-path beta Var): row 0 of
+    `build_user_embeddings` over the user's `neighborhood` arrays, which
+    `corpus` keeps.
 
     Per meta-path, the union of the user's sampled walks (see
     ``metapath_neighbors``) is the neighborhood that is aggregated and
     fused. The result is a deterministic function of (params, corpus).
     """
     hood = neighborhood(corpus, user, params.metapaths)
-    return _fuse(tape, leaves, params, hood.features, hood.nbr_idx, hood.mask)
+    u, beta = build_user_embeddings(tape, leaves, params, [hood])
+    return tape.gather_row(u, 0), tape.gather_row(beta, 0)
 
 
 # -- numpy-facing wrappers over the tape builders -------------------------
@@ -250,15 +238,6 @@ def build_user_embedding(
 
 def _const_leaves(tape: Tape, params: EmbedParams) -> dict[str, Var]:
     return {k: tape.leaf(v) for k, v in params.tensors.items()}
-
-
-def project(params: EmbedParams, node: NodeRef) -> np.ndarray:
-    """Projected feature of one node: M_type @ h_node."""
-    tape = Tape(record=False)
-    features = tuple(
-        np.array([node.index] if nt is node.type else [], dtype=np.intp) for nt in NodeType
-    )
-    return _project(tape, _const_leaves(tape, params), features).value[0]
 
 
 def node_attention(
@@ -276,32 +255,10 @@ def node_attention(
     hood = _neighborhood_of(node, [neighborhood])
     h = _project(tape, leaves, hood.features).value
     a = leaves[f"attn.mp{mp.id}"].value
-    _, _, alpha = attention_weights(h, hood.nbr_idx, hood.mask, a, params.cfg.leaky_slope)
-    return alpha[0, head]
-
-
-def node_aggregate(
-    params: EmbedParams,
-    node: NodeRef,
-    mp: MetaPath,
-    corpus: PathCorpus,
-) -> np.ndarray:
-    """Concatenated multi-head aggregation along one meta-path, over the
-    union of the node's sampled walks."""
-    tape = Tape(record=False)
-    hood = neighborhood(corpus, node, [mp])
-    return _path_embeddings(
-        tape, _const_leaves(tape, params), params, [mp], hood.features, hood.nbr_idx, hood.mask
-    ).value[0]
-
-
-def path_attention(
-    params: EmbedParams, embeddings: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Path-level weights over per-meta-path embeddings: (beta, raw scores)."""
-    tape = Tape(record=False)
-    w = _path_scores(tape, _const_leaves(tape, params), tape.leaf(np.stack(embeddings)))
-    return tape.softmax(w).value, w.value
+    _, _, alpha = attention_weights(
+        h, hood.nbr_idx[None], hood.mask[None], a, params.cfg.leaky_slope, np.zeros(1, np.intp)
+    )
+    return alpha[0, 0, head]
 
 
 def user_embedding(
@@ -310,12 +267,16 @@ def user_embedding(
     corpus: PathCorpus,
     user: NodeRef,
 ) -> UserEmbedding:
-    """Fused user embedding over all configured meta-paths.
+    """Fused user embedding over all configured meta-paths, forward only.
 
-    Deterministic given (params, corpus).
+    Deterministic given (params, corpus). The user's arrays are computed
+    for this call and not kept: its callers embed a user once (a
+    `recommend` request walks a corpus of its own, and `PolicyScorer`
+    keeps the logits), so arrays kept by their corpora would only hold
+    memory.
     """
     graph._check_node(user)
     tape = Tape(record=False)
-    leaves = _const_leaves(tape, params)
-    vec, beta = build_user_embedding(tape, leaves, params, corpus, user)
-    return UserEmbedding(vector=vec.value, beta=beta.value)
+    hood = _walked_neighborhood(corpus, user, params.metapaths)
+    u, beta = build_user_embeddings(tape, _const_leaves(tape, params), params, [hood])
+    return UserEmbedding(vector=u.value[0], beta=beta.value[0])

@@ -167,9 +167,6 @@ class HinGraph:
         # Internal view without the defensive copy; callers must not mutate.
         return self._adj.get((node, kind), [])
 
-    def degree(self, node: NodeRef, kind: Relation) -> int:
-        return len(self._adj.get((node, kind), ()))
-
     def edge_count(self) -> int:
         return len(self._ts)
 

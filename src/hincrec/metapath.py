@@ -105,11 +105,13 @@ def sample_instances(
 
 
 class PathCorpus:
-    """Per-(user, meta-path) bags of sampled path instances."""
+    """Per-(user, meta-path) bags of sampled path instances, and what is
+    derived from a user's bags, kept until they are next written."""
 
     def __init__(self, metapaths: Iterable[MetaPath]):
         self.metapaths = list(metapaths)
         self._bags: dict[tuple[NodeRef, int], list[list[NodeRef]]] = {}
+        self._kept: dict[NodeRef, dict] = {}
 
     @classmethod
     def build(
@@ -135,6 +137,7 @@ class PathCorpus:
         rng: Optional[np.random.Generator] = None,
     ) -> None:
         """Re-walk all of one user's bags against the current graph."""
+        self._kept.pop(user, None)
         for mp in self.metapaths:
             self._bags[(user, mp.id)] = sample_instances(
                 graph, user, mp, n=n, max_len=max_len, rng=rng
@@ -142,6 +145,11 @@ class PathCorpus:
 
     def bag(self, user: NodeRef, mp_id: int) -> list[list[NodeRef]]:
         return self._bags[(user, mp_id)]
+
+    def kept(self, user: NodeRef) -> dict:
+        """The values derived from `user`'s bags, by their key; emptied
+        whenever `resample_user` or `restore_user` writes the bags."""
+        return self._kept.setdefault(user, {})
 
     def snapshot_user(self, user: NodeRef) -> dict[int, list[list[NodeRef]]]:
         return {
@@ -151,6 +159,7 @@ class PathCorpus:
         }
 
     def restore_user(self, user: NodeRef, saved: dict[int, list[list[NodeRef]]]) -> None:
+        self._kept.pop(user, None)
         for mp_id, bag in saved.items():
             self._bags[(user, mp_id)] = bag
 

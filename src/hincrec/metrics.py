@@ -134,8 +134,11 @@ def build_trials(
     replacement) from concepts the user never clicked.
 
     When fewer never-clicked concepts exist than requested, the pool caps
-    the negative count; trials with an empty pool are skipped.
+    the negative count; trials with an empty pool are skipped. At least
+    one negative must be requested: a trial without one ranks nothing.
     """
+    if n_negatives < 1:
+        raise ValueError(f"n_negatives must be >= 1, got {n_negatives}")
     if rng is None:
         rng = np.random.default_rng()
     trials = []

@@ -2,12 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Union
-
 import numpy as np
 
 from .autodiff import Tape, Var
-from .embedding import UserEmbedding
 
 
 class EmptyActionSet(Exception):
@@ -31,13 +28,6 @@ class ActionSet:
     @classmethod
     def full(cls, n_concepts: int) -> "ActionSet":
         return cls(np.ones(n_concepts, dtype=bool))
-
-    @classmethod
-    def excluding(cls, n_concepts: int, blocked) -> "ActionSet":
-        mask = np.ones(n_concepts, dtype=bool)
-        for c in blocked:
-            mask[c] = False
-        return cls(mask)
 
     def count(self) -> int:
         return int(self.mask.sum())
@@ -79,8 +69,9 @@ class PolicyParams:
 
 
 def policy_logits(tape: Tape, leaves: dict[str, Var], u: Var) -> Var:
-    """Concept logits for user vector `u`: scores @ u + bias."""
-    return tape.vecadd(tape.matvec(leaves["policy.scores"], u), leaves["policy.bias"])
+    """Concept logits scores @ u + bias of a user vector `u` (dim,), or
+    one row of them per row of a batch `u` (B, dim)."""
+    return tape.matmul_t(u, leaves["policy.scores"], leaves["policy.bias"])
 
 
 def build_action_distribution(
@@ -97,18 +88,6 @@ def build_action_distribution(
     if actions.count() == 0:
         raise EmptyActionSet("no available concept to score")
     return tape.masked_softmax(policy_logits(tape, leaves, u), actions.mask)
-
-
-def action_distribution(
-    policy: PolicyParams,
-    u: Union[UserEmbedding, np.ndarray],
-    actions: ActionSet,
-) -> np.ndarray:
-    """Probability vector over all K concepts; masked entries are exactly 0."""
-    vec = u.vector if isinstance(u, UserEmbedding) else np.asarray(u, dtype=float)
-    tape = Tape(record=False)
-    leaves = {k: tape.leaf(v) for k, v in policy.tensors.items()}
-    return build_action_distribution(tape, leaves, policy, tape.leaf(vec), actions).value
 
 
 def select_action(

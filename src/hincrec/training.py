@@ -12,17 +12,17 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Optional
 
 import numpy as np
 
 from .autodiff import Tape, Var
 from .graph import HinGraph, NodeRef, NodeType, Relation
-from .metapath import MetaPath, PathCorpus
+from .metapath import PathCorpus
 from .model import ModelParams
-from .embedding import Neighborhood, build_user_embedding, build_user_embeddings, neighborhood
-from .policy import ActionSet, build_action_distribution, select_action
+from .embedding import build_user_embedding, build_user_embeddings, neighborhood
+from .policy import ActionSet, build_action_distribution, policy_logits, select_action
 
 logger = logging.getLogger("hincrec.training")
 
@@ -209,26 +209,6 @@ class TrainingEnv:
     n_concepts: int
     walks_per_path: int = 10
     max_walk_len: Optional[int] = None
-    # user -> (the corpus bags the arrays were computed from, the arrays)
-    _hoods: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    def neighborhoods(
-        self, users: Sequence[NodeRef], metapaths: list[MetaPath]
-    ) -> list[Neighborhood]:
-        """Each user's neighborhood arrays over `corpus`. They are computed
-        on a user's first use and kept; they are computed again when any of
-        the user's bags is no longer the list object they came from, as
-        after `PathCorpus.resample_user` or `restore_user`."""
-        out = []
-        for user in users:
-            bags = [self.corpus.bag(user, mp.id) for mp in metapaths]
-            kept = self._hoods.get(user)
-            if kept is None or len(kept[0]) != len(bags) or any(
-                old is not new for old, new in zip(kept[0], bags)
-            ):
-                kept = self._hoods[user] = (bags, neighborhood(self.corpus, user, metapaths))
-            out.append(kept[1])
-        return out
 
 
 def make_training_env(
@@ -338,8 +318,8 @@ def pretrain(
 
     One episode is one mini-batch of `batch` uniformly drawn
     (user, target-concept) pairs scored over the full unmasked action
-    set, in one tape pass: the users' neighborhood arrays come from
-    `env.neighborhoods`, and the loss is the fused mean cross-entropy.
+    set, in one tape pass: the users' neighborhood arrays are the ones
+    `env.corpus` keeps, and the loss is the fused mean cross-entropy.
     A loss that is not finite raises FloatingPointError before the
     parameters change. Returns the model and the per-episode mean loss
     trace.
@@ -360,9 +340,9 @@ def pretrain(
         picks = [instances[int(rng.integers(len(instances)))] for _ in range(batch)]
         tape = Tape()
         leaves = model.leaves(tape)
-        hoods = env.neighborhoods([user for user, _ in picks], metapaths)
+        hoods = [neighborhood(env.corpus, user, metapaths) for user, _ in picks]
         u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
-        logits = tape.matmul_t(u, leaves["policy.scores"], leaves["policy.bias"])
+        logits = policy_logits(tape, leaves, u)
         loss = tape.cross_entropy(logits, [target for _, target in picks])
         if not math.isfinite(loss.value):
             raise FloatingPointError(

@@ -185,6 +185,22 @@ def test_unknown_flag_exits_1(workspace, capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("flag", ["--negatives", "--topk"])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_count_below_one_exits_1(workspace, capsys, flag, value):
+    data = str(workspace / "data")
+    command = {
+        "--negatives": ["eval", "--data", data, "--cutoff", str(CUTOFF), "--scorer", "random"],
+        "--topk": ["recommend", "--ckpt", str(workspace / "model.bin"), "--data", data,
+                   "--user", "u0"],
+    }[flag]
+    assert main([*command, flag, value]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "usage" in err.lower()
+    assert f"argument {flag}: must be at least 1, got {value}" in err
+
+
 def test_unknown_command_exits_1(capsys):
     assert main(["explode"]) == 1
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import unfused
+from unfused import node_aggregate, path_attention, project
 
 from hincrec.autodiff import Tape, grad_check
 from hincrec.data import holdout_targets, temporal_split
@@ -13,10 +14,7 @@ from hincrec.embedding import (
     build_user_embedding,
     build_user_embeddings,
     neighborhood,
-    node_aggregate,
     node_attention,
-    path_attention,
-    project,
     user_embedding,
 )
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
@@ -262,6 +260,19 @@ class TestUserEmbedding:
         for f, b in zip(got_fwd, got_bwd):
             assert np.array_equal(f, b)
 
+    def test_forward_only_embedding_keeps_no_arrays(self):
+        # user_embedding embeds a user once; build_user_embedding keeps the
+        # arrays in the corpus for the next pass
+        g, users, _, params = build_line_world()
+        corpus = PathCorpus.build(g, users, params.metapaths, n=2,
+                                  rng=np.random.default_rng(0))
+        emb = user_embedding(params, g, corpus, users[0])
+        assert corpus.kept(users[0]) == {}
+        tape = Tape(record=False)
+        u, beta = build_user_embedding(tape, _leaves(tape, params), params, corpus, users[0])
+        assert list(corpus.kept(users[0])) == [tuple(mp.id for mp in params.metapaths)]
+        assert np.array_equal(u.value, emb.vector) and np.array_equal(beta.value, emb.beta)
+
     def test_output_dimension(self):
         g, users, _, params = build_line_world(dim=8, heads=4, feat_dim=3)
         corpus = PathCorpus.build(g, users, params.metapaths, n=2,
@@ -408,7 +419,7 @@ def batch_loss(tape, leaves, model, corpus, pairs):
     logit product and the fused cross-entropy."""
     hoods = [neighborhood(corpus, user, model.embed.metapaths) for user, _ in pairs]
     u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
-    logits = tape.matmul_t(u, leaves["policy.scores"], leaves["policy.bias"])
+    logits = policy_logits(tape, leaves, u)
     return tape.cross_entropy(logits, [target for _, target in pairs])
 
 
@@ -506,25 +517,33 @@ class TestBatchedEmbedding:
         def same(a, b):
             return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
 
+        def fresh_copy():
+            """A corpus holding the user's bags as they are now, and no arrays."""
+            copy = PathCorpus(mps)
+            copy.restore_user(user, env.corpus.snapshot_user(user))
+            return copy
+
         def embeds_from_corpus():
             tape = Tape(record=False)
             leaves = _leaves(tape, params)
-            u, _ = build_user_embeddings(tape, leaves, params, env.neighborhoods([user], mps))
-            want, _ = build_user_embedding(tape, leaves, params, env.corpus, user)
-            return np.array_equal(u.value[0], want.value)
+            u, _ = build_user_embedding(tape, leaves, params, env.corpus, user)
+            want, _ = build_user_embedding(tape, leaves, params, fresh_copy(), user)
+            return np.array_equal(u.value, want.value)
 
-        first = env.neighborhoods([user], mps)[0]
-        assert env.neighborhoods([user], mps)[0] is first
+        first = neighborhood(env.corpus, user, mps)
+        assert neighborhood(env.corpus, user, mps) is first
+        assert same(first, neighborhood(fresh_copy(), user, mps))
         saved = env.corpus.snapshot_user(user)
         env.corpus.resample_user(env.graph, user, n=5, max_len=5, rng=np.random.default_rng(9))
-        resampled = env.neighborhoods([user], mps)[0]
+        resampled = neighborhood(env.corpus, user, mps)
         assert not same(resampled, first)
-        assert same(resampled, neighborhood(env.corpus, user, mps))
+        assert same(resampled, neighborhood(fresh_copy(), user, mps))
         assert embeds_from_corpus()
         env.corpus.restore_user(user, saved)
-        restored = env.neighborhoods([user], mps)[0]
+        restored = neighborhood(env.corpus, user, mps)
         assert restored is not first and same(restored, first)
         assert embeds_from_corpus()
-        # another meta-path list is another neighborhood
-        one_path = env.neighborhoods([user], mps[:1])[0]
-        assert same(one_path, neighborhood(env.corpus, user, mps[:1]))
+        # another meta-path list is another neighborhood, kept beside it
+        one_path = neighborhood(env.corpus, user, mps[:1])
+        assert same(one_path, neighborhood(fresh_copy(), user, mps[:1]))
+        assert neighborhood(env.corpus, user, mps) is restored

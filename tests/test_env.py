@@ -5,12 +5,14 @@ import math
 import numpy as np
 import pytest
 
+from unfused import action_distribution
+
 from hincrec.autodiff import Tape
 from hincrec.embedding import EmbedConfig, user_embedding
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import PathCorpus, builtin_metapaths
 from hincrec.model import init_model
-from hincrec.policy import ActionSet, action_distribution, build_action_distribution
+from hincrec.policy import ActionSet, build_action_distribution
 from hincrec.training import (
     Episode,
     StepRecord,

@@ -283,3 +283,12 @@ class TestProtocol:
     def test_empty_trials_rejected(self):
         with pytest.raises(ValueError):
             evaluate(RandomScorer(0), [], {}, 10, seed=0)
+
+    @pytest.mark.parametrize("n_negatives", [0, -1])
+    def test_fewer_than_one_negative_rejected(self, n_negatives):
+        # a trial without a negative ranks nothing; AUC would read 0/0
+        positives = [(NodeRef(U, 0), 3)]
+        with pytest.raises(ValueError, match="n_negatives"):
+            build_trials(positives, {}, 10, n_negatives, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="n_negatives"):
+            evaluate(RandomScorer(0), positives, {}, 10, n_negatives=n_negatives, seed=0)

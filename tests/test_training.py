@@ -5,10 +5,10 @@ import pytest
 
 from oracles import TextbookAdam
 
-from hincrec import training
-from hincrec.embedding import EmbedConfig, build_user_embedding
+from hincrec import embedding, training
+from hincrec.embedding import EmbedConfig, build_user_embedding, neighborhood
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
-from hincrec.metapath import builtin_metapaths
+from hincrec.metapath import builtin_metapaths, metapath_neighbors
 from hincrec.model import init_model
 from hincrec.synth import SynthConfig, generate_synthetic
 from hincrec.data import holdout_targets
@@ -61,6 +61,19 @@ def steer_onto_unwired(env, model, user, n):
         model.policy.tensors["policy.bias"][c] = 10.0 - rank
     env.targets = {user: frozenset(unwired)}
     return unwired
+
+
+def count_neighbor_lists(monkeypatch):
+    """Records (corpus, user) for every neighbor list that the embedding
+    computes from now on."""
+    calls = []
+
+    def counting(corpus, user, mp):
+        calls.append((corpus, user))
+        return metapath_neighbors(corpus, user, mp)
+
+    monkeypatch.setattr(embedding, "metapath_neighbors", counting)
+    return calls
 
 
 def user_bags(env, user):
@@ -132,6 +145,26 @@ class TestEpisodeInvariants:
         assert env.corpus.snapshot_user(user) == bags
         rollback_episode(env, ep)
 
+    def test_first_embedding_reads_the_kept_arrays(self, monkeypatch):
+        env, model, rng = small_world(seed=3)
+        user = env.users[0]
+        steer_onto_unwired(env, model, user, 2)
+        mps = model.embed.metapaths
+        kept = neighborhood(env.corpus, user, mps)
+        arrays = [a.copy() for a in (*kept.features, kept.nbr_idx, kept.mask)]
+        calls = count_neighbor_lists(monkeypatch)
+        ep = play_episode(model, env, user, horizon=2, epsilon=0.0, gamma=0.9, rng=rng)
+        assert ep.embed_count == 3
+        # only the two re-walked embeddings compute neighbor lists, from
+        # the episode's own corpus
+        assert len(calls) == 2 * len(mps)
+        assert all(corpus is not env.corpus and who == user for corpus, who in calls)
+        (still_kept,) = env.corpus.kept(user).values()
+        assert still_kept is kept
+        now = (*kept.features, kept.nbr_idx, kept.mask)
+        assert all(np.array_equal(a, b) for a, b in zip(arrays, now))
+        rollback_episode(env, ep)
+
     def test_graph_untouched_by_incorrect_episode(self):
         env, model, rng = small_world(seed=4)
         user = env.users[0]
@@ -169,12 +202,22 @@ class TestPretrain:
         assert_tensors_equal(snapshot(model), before)
         assert env.graph.snapshot_digest() == digest
 
-    def test_neighborhoods_are_computed_on_first_use(self):
+    def test_neighborhoods_are_computed_on_first_use(self, monkeypatch):
         env, model, rng = small_world(seed=5)
-        assert env._hoods == {}
+        calls = count_neighbor_lists(monkeypatch)
         pretrain(model, env, episodes=2, lr=1e-3, batch=3, rng=rng)
-        assert 0 < len(env._hoods) <= 6
-        assert set(env._hoods) <= set(env.users)
+        kept = {user for user in env.users if env.corpus.kept(user)}
+        assert 0 < len(kept) <= 6
+        assert sorted(calls, key=lambda c: c[1].index) == sorted(
+            ((env.corpus, user) for user in kept for _ in model.embed.metapaths),
+            key=lambda c: c[1].index,
+        )
+        ids = tuple(mp.id for mp in model.embed.metapaths)
+        assert all(list(env.corpus.kept(user)) == [ids] for user in kept)
+        calls.clear()
+        pretrain(model, env, episodes=1, lr=1e-3, batch=3, rng=rng)
+        assert len(calls) <= 3 * len(model.embed.metapaths)
+        assert {user for _, user in calls}.isdisjoint(kept)
 
     def test_defaults_match_contract(self):
         import inspect
@@ -289,7 +332,8 @@ class TestTrainRL:
             model, env, episodes=500, horizon=3, epsilon=0.1, lr=0.01, rng=rng
         )
         from hincrec.embedding import user_embedding
-        from hincrec.policy import ActionSet, action_distribution, select_action
+        from hincrec.policy import ActionSet, select_action
+        from unfused import action_distribution
 
         emb = user_embedding(model.embed, g, env.corpus, user)
         dist = action_distribution(model.policy, emb, ActionSet.full(3))

@@ -10,18 +10,23 @@ The scalar and vector primitives that only this composition needs
 (``add_scalar``, ``slice1d``, ``stack_rows``, ``dot``, ``leaky_relu``)
 live here as functions of a tape rather than as ``Tape`` methods; they
 record onto the tape like its own primitives do.
+
+So do the numpy-facing views of single stages that only the tests read:
+one node's projection, one meta-path's aggregation, the path-level
+weights of given embeddings and the action distribution of a vector.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from hincrec.autodiff import ShapeMismatch, Tape, Var, _accum
-from hincrec.embedding import EmbedParams
+from hincrec.embedding import EmbedParams, UserEmbedding, _project, neighborhood
 from hincrec.graph import NodeRef
 from hincrec.metapath import MetaPath, PathCorpus, metapath_neighbors
+from hincrec.policy import ActionSet, PolicyParams, build_action_distribution
 
 
 # -- primitives used only by the unfused composition --------------------------
@@ -171,3 +176,52 @@ def user_embedding(
         term = tape.scale(emb, tape.gather_row(beta, k))
         fused = term if fused is None else tape.vecadd(fused, term)
     return fused, beta
+
+
+# -- numpy-facing views of single stages -----------------------------------------
+
+
+def _const_leaves(tape: Tape, tensors: dict[str, np.ndarray]) -> dict[str, Var]:
+    return {k: tape.leaf(v) for k, v in tensors.items()}
+
+
+def project(params: EmbedParams, node: NodeRef) -> np.ndarray:
+    """Projected feature of one node: M_type @ h_node."""
+    tape = Tape(record=False)
+    return ProjectionCache(tape, _const_leaves(tape, params.tensors))(node).value
+
+
+def node_aggregate(
+    params: EmbedParams, node: NodeRef, mp: MetaPath, corpus: PathCorpus
+) -> np.ndarray:
+    """The fused multi-head aggregation along one meta-path, over the
+    union of the node's sampled walks: a batch of one node and one path."""
+    tape = Tape(record=False)
+    leaves = _const_leaves(tape, params.tensors)
+    hood = neighborhood(corpus, node, [mp])
+    h = _project(tape, leaves, hood.features)
+    a = leaves[f"attn.mp{mp.id}"]
+    slope = params.cfg.leaky_slope
+    return tape.multihead_attention(
+        h, hood.nbr_idx[None], hood.mask[None], a, slope, [0]
+    ).value[0, 0]
+
+
+def path_attention(
+    params: EmbedParams, embeddings: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Path-level weights over per-meta-path embeddings: (beta, raw scores)."""
+    tape = Tape(record=False)
+    leaves = _const_leaves(tape, params.tensors)
+    scores = tape.concat([path_score(tape, leaves, tape.leaf(e)) for e in embeddings])
+    return tape.softmax(scores).value, scores.value
+
+
+def action_distribution(
+    policy: PolicyParams, u: Union[UserEmbedding, np.ndarray], actions: ActionSet
+) -> np.ndarray:
+    """Probability vector over all K concepts; masked entries are exactly 0."""
+    vec = u.vector if isinstance(u, UserEmbedding) else np.asarray(u, dtype=float)
+    tape = Tape(record=False)
+    leaves = _const_leaves(tape, policy.tensors)
+    return build_action_distribution(tape, leaves, policy, tape.leaf(vec), actions).value
