@@ -227,7 +227,6 @@ def temporal_split(ds: Dataset, cutoff: int) -> SplitResult:
 class HoldoutResult:
     graph: HinGraph                      # training graph minus held-out click edges
     targets: dict[NodeRef, frozenset]    # held-out concept indices per user
-    ordered: dict[NodeRef, tuple]        # same, in first-click order
 
 
 def holdout_targets(train: Dataset, fraction: float = 0.5) -> HoldoutResult:
@@ -246,7 +245,6 @@ def holdout_targets(train: Dataset, fraction: float = 0.5) -> HoldoutResult:
             per_user[concept] = click.ts
     graph = train.graph.copy()
     targets: dict[NodeRef, frozenset] = {}
-    ordered: dict[NodeRef, tuple] = {}
     for user in sorted(first_click, key=lambda r: r.index):
         per_user = first_click[user]
         chronological = sorted(per_user, key=lambda c: (per_user[c], c))
@@ -255,8 +253,7 @@ def holdout_targets(train: Dataset, fraction: float = 0.5) -> HoldoutResult:
         for concept in held:
             graph.remove_edge(user, NodeRef(NodeType.CONCEPT, concept), Relation.CLICK)
         targets[user] = frozenset(held)
-        ordered[user] = held
-    return HoldoutResult(graph=graph, targets=targets, ordered=ordered)
+    return HoldoutResult(graph=graph, targets=targets)
 
 
 def click_counts(train: Dataset) -> np.ndarray:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import Tape, Var, attention_weights
 from .graph import HinGraph, NodeRef, NodeType
-from .metapath import MetaPath, PathCorpus, distinct_nodes, metapath_neighbors
+from .metapath import MetaPath, PathCorpus, metapath_neighbors
 
 
 @dataclass
@@ -94,74 +94,72 @@ class EmbedParams:
 
 
 _NODE_TYPES = tuple(NodeType)
+# A node's key is its type's position in NodeType, shifted left by 32
+# bits, or-ed with its index: keys sort by type, then by index.
+_TYPE_POS = {nt: pos for pos, nt in enumerate(_NODE_TYPES)}
+_TYPE_STARTS = np.arange(1, len(_NODE_TYPES), dtype=np.int64) << 32
 
 
-@dataclass(frozen=True)
-class Neighborhood:
-    """A user's meta-path neighborhoods as the index arrays that attention
-    reads.
-
-    Its rows are the distinct nodes of the neighborhoods, by node type in
-    `NodeType` order and in first-seen order within a type, so the user
-    (the first user seen) is row 0.
-    """
-
-    features: tuple[np.ndarray, ...]  # per NodeType: the rows' indices in that type
-    nbr_idx: np.ndarray               # (P, L) rows of each neighborhood, padded with 0
-    mask: np.ndarray                  # (P, L) True on the neighborhood's entries
-
-
-def _neighborhood_of(user: NodeRef, hoods: list[list[NodeRef]]) -> Neighborhood:
-    """The arrays of `user` attending over each of `hoods` (node lists)."""
+def _keys(user: NodeRef, hoods: list[list[NodeRef]]) -> np.ndarray:
+    """The (P, L) node keys of `user`'s neighborhoods `hoods` (node lists
+    that begin with the user), padded with -1."""
     if user.type is not NodeType.USER:
         raise ValueError(f"only a user attends over meta-path neighborhoods, got {user!r}")
-    by_type: dict[NodeType, list[NodeRef]] = {nt: [] for nt in _NODE_TYPES}
-    for ref in distinct_nodes(user, hoods):
-        by_type[ref.type].append(ref)
-    row: dict[NodeRef, int] = {}
-    for refs in by_type.values():
-        row.update(zip(refs, range(len(row), len(row) + len(refs))))
-    idx = np.zeros((len(hoods), max(len(hood) for hood in hoods)), dtype=np.intp)
-    mask = np.zeros(idx.shape, dtype=bool)
-    for r, hood in enumerate(hoods):
-        idx[r, : len(hood)] = [row[ref] for ref in hood]
-        mask[r, : len(hood)] = True
-    features = tuple(
-        np.array([ref.index for ref in refs], dtype=np.intp) for refs in by_type.values()
-    )
-    return Neighborhood(features, idx, mask)
+    keys = np.full((len(hoods), max(len(hood) for hood in hoods)), -1, dtype=np.int64)
+    for p, hood in enumerate(hoods):
+        keys[p, : len(hood)] = [_TYPE_POS[ref.type] << 32 | ref.index for ref in hood]
+    return keys
 
 
-def neighborhood(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> Neighborhood:
-    """The arrays of `user` over the union of its sampled walks per
-    meta-path (see ``metapath_neighbors``). `corpus` keeps them, by
-    meta-path ids, from their first use until the user's bags are next
-    written."""
+def neighborhood(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> np.ndarray:
+    """The (P, L) node keys of `user`'s neighborhood along each of
+    `metapaths`: row p lists ``metapath_neighbors`` (the user first, then
+    the distinct nodes of its sampled walks), padded with -1. `corpus`
+    keeps the array, by meta-path ids, from its first use until the
+    user's bags are next written."""
     kept = corpus.kept(user)
     key = tuple(mp.id for mp in metapaths)
-    hood = kept.get(key)
-    if hood is None:
-        hood = kept[key] = _walked_neighborhood(corpus, user, metapaths)
-    return hood
+    keys = kept.get(key)
+    if keys is None:
+        keys = kept[key] = _keys(user, [metapath_neighbors(corpus, user, mp) for mp in metapaths])
+    return keys
 
 
-def _walked_neighborhood(
-    corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]
-) -> Neighborhood:
-    return _neighborhood_of(user, [metapath_neighbors(corpus, user, mp) for mp in metapaths])
+def _layout(keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray, np.ndarray]:
+    """Lays out the (B, P, L) node keys of B users' neighborhoods, each
+    row beginning with its user, over one stack of node rows that holds
+    each distinct node once, in key order. Each type's nodes are then
+    one contiguous slice of the stack.
+
+    Returns each type's node indices in its slice, in NodeType order; the
+    (B, P, L) stack rows of the keys (a pad reads its user's row) and the
+    mask of the entries that are not pads; and the users' (B,) rows.
+    """
+    mask = keys >= 0
+    keys = np.where(mask, keys, keys[:, :1, :1])
+    ordered = np.sort(keys, axis=None)
+    first = np.empty(ordered.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    distinct = ordered[first]
+    rows = np.searchsorted(distinct, keys)
+    bounds = [0, *np.searchsorted(distinct, _TYPE_STARTS).tolist(), distinct.size]
+    distinct &= 0xFFFFFFFF
+    ids = [distinct[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+    return ids, rows, mask, rows[:, 0, 0]
 
 
 # (feature table, projection) names per node type, in NodeType order
 _TABLES = tuple((f"feat.{nt.value}", f"proj.{nt.value}") for nt in _NODE_TYPES)
 
 
-def _project(tape: Tape, leaves: dict[str, Var], features: tuple[np.ndarray, ...]) -> Var:
-    """Projected features M_type @ h of the rows `features` lists, one
-    gather and one product per node type that has rows."""
+def _project(tape: Tape, leaves: dict[str, Var], ids: Sequence[np.ndarray]) -> Var:
+    """Projected features M_type @ h of the nodes `ids` lists per type,
+    one gather and one product per node type that has nodes."""
     blocks = [
-        tape.matmul_t(tape.gather_rows(leaves[feat], ids), leaves[proj])
-        for (feat, proj), ids in zip(_TABLES, features)
-        if ids.size
+        tape.matmul_t(tape.gather_rows(leaves[feat], type_ids), leaves[proj])
+        for (feat, proj), type_ids in zip(_TABLES, ids)
+        if type_ids.size
     ]
     return blocks[0] if len(blocks) == 1 else tape.concat(blocks)
 
@@ -170,44 +168,26 @@ def build_user_embeddings(
     tape: Tape,
     leaves: dict[str, Var],
     params: EmbedParams,
-    hoods: Sequence[Neighborhood],
+    hoods: Sequence[np.ndarray],
 ) -> tuple[Var, Var]:
     """Returns the (B, dim) user vectors and (B, P) path weights of the
-    B users whose `hoods` are given, in one pass over the tape:
-    multi-head node-level attention per meta-path, then a softmax over
-    each user's path scores q . tanh(W e + b) and the weighted sum.
+    B users whose `neighborhood` keys `hoods` are given, in one pass over
+    the tape: multi-head node-level attention per meta-path, then a
+    softmax over each user's path scores q . tanh(W e + b) and the
+    weighted sum.
 
-    The users' rows are stacked by node type: every user's block of one
-    type together, in batch order, so each type takes one gather and one
-    product. A repeated user is embedded once per occurrence.
+    Each distinct node of the batch is gathered and projected once (see
+    `_layout`), however many users' neighborhoods hold it.
     """
-    # start[t]: the stacked row where the next user's block of type t begins
-    start, total, features = [], 0, []
-    for block in zip(*(hood.features for hood in hoods)):
-        start.append(total)
-        total += sum(ids.size for ids in block)
-        features.append(block[0] if len(block) == 1 else np.concatenate(block))
-    width = max(hood.nbr_idx.shape[1] for hood in hoods)
-    nbr_idx = np.zeros((len(hoods), len(params.metapaths), width), dtype=np.intp)
-    mask = np.zeros(nbr_idx.shape, dtype=bool)
-    self_rows = []
+    width = max(hood.shape[1] for hood in hoods)
+    keys = np.full((len(hoods), len(params.metapaths), width), -1, dtype=np.int64)
     for b, hood in enumerate(hoods):
-        # rows[r]: the stacked row of row r of the user's own layout
-        rows = []
-        for t, ids in enumerate(hood.features):
-            rows.extend(range(start[t], start[t] + ids.size))
-            start[t] += ids.size
-        # each user is row 0 of its own layout
-        self_rows.append(rows[0])
-        w = hood.nbr_idx.shape[1]
-        nbr_idx[b, :, :w] = np.array(rows)[hood.nbr_idx]
-        mask[b, :, :w] = hood.mask
-    h = _project(tape, leaves, features)
+        keys[b, :, : hood.shape[1]] = hood
+    ids, rows, mask, self_rows = _layout(keys)
+    h = _project(tape, leaves, ids)
     attn = [leaves[f"attn.mp{mp.id}"] for mp in params.metapaths]
     a = attn[0] if len(attn) == 1 else tape.concat(attn)
-    per_path = tape.multihead_attention(
-        h, nbr_idx, mask, a, params.cfg.leaky_slope, self_rows
-    )
+    per_path = tape.multihead_attention(h, rows, mask, a, params.cfg.leaky_slope, self_rows)
     hidden = tape.tanh(tape.matmul_t(per_path, leaves["path.W"], leaves["path.b"]))
     beta = tape.softmax(tape.matvec(hidden, leaves["path.q"]))
     return tape.matvec_t(per_path, beta), beta
@@ -221,7 +201,7 @@ def build_user_embedding(
     user: NodeRef,
 ) -> tuple[Var, Var]:
     """Returns (user vector Var, per-meta-path beta Var): row 0 of
-    `build_user_embeddings` over the user's `neighborhood` arrays, which
+    `build_user_embeddings` over the user's `neighborhood` keys, which
     `corpus` keeps.
 
     Per meta-path, the union of the user's sampled walks (see
@@ -252,11 +232,13 @@ def node_attention(
         raise ValueError("neighborhood must be nonempty")
     tape = Tape(record=False)
     leaves = _const_leaves(tape, params)
-    hood = _neighborhood_of(node, [neighborhood])
-    h = _project(tape, leaves, hood.features).value
+    # the node leads its keys so that its row is laid out, then attends
+    # over the neighborhood as given
+    ids, rows, mask, self_rows = _layout(_keys(node, [[node, *neighborhood]])[None])
+    h = _project(tape, leaves, ids).value
     a = leaves[f"attn.mp{mp.id}"].value
     _, _, alpha = attention_weights(
-        h, hood.nbr_idx[None], hood.mask[None], a, params.cfg.leaky_slope, np.zeros(1, np.intp)
+        h, rows[..., 1:], mask[..., 1:], a, params.cfg.leaky_slope, self_rows
     )
     return alpha[0, 0, head]
 
@@ -269,14 +251,14 @@ def user_embedding(
 ) -> UserEmbedding:
     """Fused user embedding over all configured meta-paths, forward only.
 
-    Deterministic given (params, corpus). The user's arrays are computed
+    Deterministic given (params, corpus). The user's keys are computed
     for this call and not kept: its callers embed a user once (a
     `recommend` request walks a corpus of its own, and `PolicyScorer`
-    keeps the logits), so arrays kept by their corpora would only hold
+    keeps the logits), so keys kept by their corpora would only hold
     memory.
     """
     graph._check_node(user)
     tape = Tape(record=False)
-    hood = _walked_neighborhood(corpus, user, params.metapaths)
+    hood = _keys(user, [metapath_neighbors(corpus, user, mp) for mp in params.metapaths])
     u, beta = build_user_embeddings(tape, _const_leaves(tape, params), params, [hood])
     return UserEmbedding(vector=u.value[0], beta=beta.value[0])

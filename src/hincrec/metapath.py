@@ -8,6 +8,7 @@ neighborhood used by the attention-based user embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Optional
 
 import numpy as np
@@ -183,16 +184,4 @@ def metapath_neighbors(corpus: PathCorpus, user: NodeRef, mp: MetaPath) -> list[
     (HAN-style), not a single walk, so it is a deterministic function of
     the corpus. An empty bag falls back to the user alone.
     """
-    return distinct_nodes(user, corpus.bag(user, mp.id))
-
-
-def distinct_nodes(user: NodeRef, walks: Iterable[list[NodeRef]]) -> list[NodeRef]:
-    """`user`, then each node of `walks` not seen before, in walk order."""
-    out = [user]
-    seen = {user}
-    for inst in walks:
-        for ref in inst:
-            if ref not in seen:
-                seen.add(ref)
-                out.append(ref)
-    return out
+    return list(dict.fromkeys(chain((user,), *corpus.bag(user, mp.id))))

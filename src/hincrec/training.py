@@ -19,7 +19,7 @@ import numpy as np
 
 from .autodiff import Tape, Var
 from .graph import HinGraph, NodeRef, NodeType, Relation
-from .metapath import PathCorpus
+from .metapath import MetaPath, PathCorpus
 from .model import ModelParams
 from .embedding import build_user_embedding, build_user_embeddings, neighborhood
 from .policy import ActionSet, build_action_distribution, policy_logits, select_action
@@ -318,7 +318,7 @@ def pretrain(
 
     One episode is one mini-batch of `batch` uniformly drawn
     (user, target-concept) pairs scored over the full unmasked action
-    set, in one tape pass: the users' neighborhood arrays are the ones
+    set, in one tape pass: the users' neighborhood keys are the ones
     `env.corpus` keeps, and the loss is the fused mean cross-entropy.
     A loss that is not finite raises FloatingPointError before the
     parameters change. Returns the model and the per-episode mean loss

@@ -190,7 +190,6 @@ class TestHoldout:
         hold = holdout_targets(ds, 0.5)
         user = NodeRef(U, 0)
         assert hold.targets[user] == frozenset({2, 3})
-        assert hold.ordered[user] == (2, 3)
         assert hold.graph.has_edge(user, NodeRef(K, 0), Relation.CLICK)
         assert hold.graph.has_edge(user, NodeRef(K, 1), Relation.CLICK)
         assert not hold.graph.has_edge(user, NodeRef(K, 2), Relation.CLICK)

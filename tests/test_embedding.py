@@ -18,7 +18,7 @@ from hincrec.embedding import (
     user_embedding,
 )
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
-from hincrec.metapath import PathCorpus, builtin_metapaths
+from hincrec.metapath import PathCorpus, builtin_metapaths, metapath_neighbors
 from hincrec.metrics import PolicyScorer
 from hincrec.model import init_model
 from hincrec.policy import ActionSet, build_action_distribution, policy_logits
@@ -262,7 +262,7 @@ class TestUserEmbedding:
 
     def test_forward_only_embedding_keeps_no_arrays(self):
         # user_embedding embeds a user once; build_user_embedding keeps the
-        # arrays in the corpus for the next pass
+        # neighborhood keys in the corpus for the next pass
         g, users, _, params = build_line_world()
         corpus = PathCorpus.build(g, users, params.metapaths, n=2,
                                   rng=np.random.default_rng(0))
@@ -466,6 +466,39 @@ class TestBatchedEmbedding:
             assert np.max(np.abs(u.value[b] - u1.value)) <= 1e-12, user
             assert np.max(np.abs(beta.value[b] - beta1.value)) <= 1e-12, user
 
+    def test_each_distinct_node_is_gathered_once(self, acceptance_world, monkeypatch):
+        # the batch repeats a user, and its users share nodes
+        env, model, pairs = batch_model(acceptance_world)
+        params = model.embed
+        users = [user for user, _ in pairs]
+        assert len(set(users)) < len(users)
+        per_user = [
+            {ref for mp in params.metapaths for ref in metapath_neighbors(env.corpus, user, mp)}
+            for user in set(users)
+        ]
+        nodes = set().union(*per_user)
+        assert sum(map(len, per_user)) > len(nodes)
+        gathered = []
+        gather_rows = Tape.gather_rows
+
+        def recording(tape, x, idx):
+            gathered.append((x, np.asarray(idx).tolist()))
+            return gather_rows(tape, x, idx)
+
+        monkeypatch.setattr(Tape, "gather_rows", recording)
+        tape = Tape()
+        leaves = model.leaves(tape)
+        hoods = [neighborhood(env.corpus, user, params.metapaths) for user in users]
+        build_user_embeddings(tape, leaves, params, hoods)
+        table_type = {id(leaves[f"feat.{nt.value}"]): nt for nt in NodeType}
+        ids = {table_type[id(x)]: idx for x, idx in gathered}
+        assert len(ids) == len(gathered)
+        for nt in NodeType:
+            want = sorted(ref.index for ref in nodes if ref.type is nt)
+            got = ids.get(nt, [])
+            assert len(set(got)) == len(got), nt
+            assert sorted(got) == want, nt
+
     def test_matches_unfused(self, acceptance_world):
         # 0.5 |u_b|^2 + c . beta_b summed over the batch, against the same
         # sum of the unfused composition, user by user
@@ -511,14 +544,10 @@ class TestBatchedEmbedding:
                              np.random.default_rng(3))
         user = env.users[0]
 
-        def arrays(hood):
-            return [*hood.features, hood.nbr_idx, hood.mask]
-
-        def same(a, b):
-            return all(np.array_equal(x, y) for x, y in zip(arrays(a), arrays(b)))
+        same = np.array_equal
 
         def fresh_copy():
-            """A corpus holding the user's bags as they are now, and no arrays."""
+            """A corpus holding the user's bags as they are now, and no keys."""
             copy = PathCorpus(mps)
             copy.restore_user(user, env.corpus.snapshot_user(user))
             return copy

@@ -151,7 +151,7 @@ class TestEpisodeInvariants:
         steer_onto_unwired(env, model, user, 2)
         mps = model.embed.metapaths
         kept = neighborhood(env.corpus, user, mps)
-        arrays = [a.copy() for a in (*kept.features, kept.nbr_idx, kept.mask)]
+        keys = kept.copy()
         calls = count_neighbor_lists(monkeypatch)
         ep = play_episode(model, env, user, horizon=2, epsilon=0.0, gamma=0.9, rng=rng)
         assert ep.embed_count == 3
@@ -161,8 +161,7 @@ class TestEpisodeInvariants:
         assert all(corpus is not env.corpus and who == user for corpus, who in calls)
         (still_kept,) = env.corpus.kept(user).values()
         assert still_kept is kept
-        now = (*kept.features, kept.nbr_idx, kept.mask)
-        assert all(np.array_equal(a, b) for a, b in zip(arrays, now))
+        assert np.array_equal(kept, keys)
         rollback_episode(env, ep)
 
     def test_graph_untouched_by_incorrect_episode(self):

@@ -23,7 +23,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from hincrec.autodiff import ShapeMismatch, Tape, Var, _accum
-from hincrec.embedding import EmbedParams, UserEmbedding, _project, neighborhood
+from hincrec.embedding import EmbedParams, UserEmbedding, _layout, _project, neighborhood
 from hincrec.graph import NodeRef
 from hincrec.metapath import MetaPath, PathCorpus, metapath_neighbors
 from hincrec.policy import ActionSet, PolicyParams, build_action_distribution
@@ -198,13 +198,11 @@ def node_aggregate(
     union of the node's sampled walks: a batch of one node and one path."""
     tape = Tape(record=False)
     leaves = _const_leaves(tape, params.tensors)
-    hood = neighborhood(corpus, node, [mp])
-    h = _project(tape, leaves, hood.features)
+    ids, rows, mask, self_rows = _layout(neighborhood(corpus, node, [mp])[None])
+    h = _project(tape, leaves, ids)
     a = leaves[f"attn.mp{mp.id}"]
     slope = params.cfg.leaky_slope
-    return tape.multihead_attention(
-        h, hood.nbr_idx[None], hood.mask[None], a, slope, [0]
-    ).value[0, 0]
+    return tape.multihead_attention(h, rows, mask, a, slope, self_rows).value[0, 0]
 
 
 def path_attention(
