@@ -153,38 +153,30 @@ class Tape:
 
         return self._emit(out_val, backward)
 
-    def softmax(self, x) -> Var:
+    def softmax(self, x, mask=None) -> Var:
         """Stable (max-subtracted) softmax of a vector, or of each row of
-        an array along its last axis."""
+        an array along its last axis.
+
+        With a boolean `mask` of x's shape, each row is normalised over
+        its masked-in entries only: the others get probability exactly 0
+        and zero gradient, and every row must keep at least one entry.
+        """
         x = self._lift(x)
         if x.value.ndim == 0 or x.value.size == 0:
             raise ShapeMismatch("softmax expects a nonempty vector or array")
-        e = np.exp(x.value - np.max(x.value, axis=-1, keepdims=True))
+        z = x.value
+        if mask is not None:
+            mask = np.asarray(mask, dtype=bool)
+            if mask.shape != z.shape:
+                raise ShapeMismatch(f"softmax mask {mask.shape} for logits {z.shape}")
+            if not mask.any(axis=-1).all():
+                raise ShapeMismatch("softmax of a row whose mask keeps nothing")
+            z = np.where(mask, z, -np.inf)
+        e = np.exp(z - np.max(z, axis=-1, keepdims=True))
         p = e / np.sum(e, axis=-1, keepdims=True)
 
         def backward(g):
             _accum(x, p * (g - np.sum(p * g, axis=-1, keepdims=True)))
-
-        return self._emit(p, backward)
-
-    def masked_softmax(self, x, mask: np.ndarray) -> Var:
-        """Softmax restricted to `mask`; masked entries are exactly 0.
-
-        Saturation: entries outside the mask produce probability 0 and
-        receive zero gradient.
-        """
-        x = self._lift(x)
-        mask = np.asarray(mask, dtype=bool)
-        if x.value.shape != mask.shape or x.value.ndim != 1:
-            raise ShapeMismatch("masked_softmax mask/logit shape mismatch")
-        if not mask.any():
-            raise ShapeMismatch("masked_softmax with empty mask")
-        z = x.value - np.max(x.value[mask])
-        e = np.where(mask, np.exp(np.where(mask, z, 0.0)), 0.0)
-        p = e / np.sum(e)
-
-        def backward(g):
-            _accum(x, p * (g - np.dot(p, g)))
 
         return self._emit(p, backward)
 
@@ -252,13 +244,13 @@ class Tape:
             raise ShapeMismatch("gather_rows expects a vector or matrix and 1-d indices")
         if idx.size and (idx.min() < 0 or idx.max() >= x.value.shape[0]):
             raise ShapeMismatch(f"gather_rows index out of range 0..{x.value.shape[0] - 1}")
-        distinct = len(set(idx.tolist())) == idx.size
         out_val = x.value[idx]
 
         def backward(g):
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
-            if distinct:
+            # strictly increasing ids are distinct, so `+=` adds each row once
+            if (idx[1:] > idx[:-1]).all():
                 x.grad[idx] += g
             else:
                 np.add.at(x.grad, idx, g)
@@ -317,11 +309,7 @@ class Tape:
             g_hn = alpha.swapaxes(-1, -2) @ g_agg + g_pre.swapaxes(-1, -2) @ a_nbr
             g_h = np.zeros_like(h.value)
             np.add.at(g_h, nbr_idx, g_hn)
-            g_hs = g_self @ a_self
-            if len(set(rows.tolist())) == rows.size:
-                g_h[rows] += g_hs
-            else:
-                np.add.at(g_h, rows, g_hs)
+            np.add.at(g_h, rows, g_self @ a_self)
             _accum(h, g_h)
             g_a_nbr = (g_pre @ hn).sum(axis=0)
             g_a_self = g_self.T @ h.value[rows]

@@ -32,7 +32,7 @@ from .metrics import PolicyScorer, PopularityScorer, RandomScorer, evaluate
 from .model import ModelParams, init_model
 from .serialize import CheckpointError
 from .synth import ConfigInvalid, generate_synthetic
-from .training import make_training_env, pretrain, train_rl
+from .training import TrainingEnv, make_training_env, pretrain, train_rl
 
 logger = logging.getLogger("hincrec.cli")
 
@@ -209,6 +209,29 @@ def _prepare_training(args):
     return cfg, env, model, rng
 
 
+def _pretrain(
+    cfg: TrainConfig, env: TrainingEnv, model: ModelParams, rng: np.random.Generator
+) -> None:
+    pretrain(
+        model, env, episodes=cfg.pretrain_episodes, lr=cfg.lr_pretrain, batch=cfg.batch, rng=rng
+    )
+
+
+def _model_scorer(args, cfg: TrainConfig, graph: HinGraph, users: list[NodeRef]) -> PolicyScorer:
+    """The greedy scorer of the checkpoint ``args.ckpt`` (see `_load_model`)
+    over `users`' walks on `graph`, drawn at the run's seed."""
+    model = _load_model(args.ckpt, graph)
+    corpus = PathCorpus.build(
+        graph,
+        users,
+        model.embed.metapaths,
+        n=cfg.N,
+        max_len=cfg.l,
+        rng=np.random.default_rng(_seed_of(args, cfg)),
+    )
+    return PolicyScorer(model, graph, corpus)
+
+
 # -- subcommands ---------------------------------------------------------------
 
 
@@ -244,14 +267,7 @@ def _cmd_sample(args) -> int:
 
 def _cmd_pretrain(args) -> int:
     cfg, env, model, rng = _prepare_training(args)
-    pretrain(
-        model,
-        env,
-        episodes=cfg.pretrain_episodes,
-        lr=cfg.lr_pretrain,
-        batch=cfg.batch,
-        rng=rng,
-    )
+    _pretrain(cfg, env, model, rng)
     model.save(args.ckpt)
     logger.info("wrote checkpoint %s", args.ckpt)
     return 0
@@ -262,14 +278,7 @@ def _cmd_train(args) -> int:
     if args.init:
         model = _load_model(args.init, env.graph)
     elif not args.from_scratch:
-        pretrain(
-            model,
-            env,
-            episodes=cfg.pretrain_episodes,
-            lr=cfg.lr_pretrain,
-            batch=cfg.batch,
-            rng=rng,
-        )
+        _pretrain(cfg, env, model, rng)
     model, stats = train_rl(
         model,
         env,
@@ -302,20 +311,8 @@ def _cmd_eval(args) -> int:
     if args.scorer == "model":
         if not args.ckpt:
             raise ConfigError("--ckpt is required for the model scorer")
-        model = _load_model(args.ckpt, split.train.graph)
-        rng = np.random.default_rng(seed)
-        test_users = sorted(
-            {user for user, _ in split.test_positives}, key=lambda r: r.index
-        )
-        corpus = PathCorpus.build(
-            split.train.graph,
-            test_users,
-            model.embed.metapaths,
-            n=cfg.N,
-            max_len=cfg.l,
-            rng=rng,
-        )
-        scorer = PolicyScorer(model, split.train.graph, corpus)
+        users = sorted({user for user, _ in split.test_positives}, key=lambda r: r.index)
+        scorer = _model_scorer(args, cfg, split.train.graph, users)
     elif args.scorer == "random":
         scorer = RandomScorer(seed)
     else:
@@ -334,21 +331,14 @@ def _cmd_eval(args) -> int:
 
 def _cmd_recommend(args) -> int:
     cfg = _train_config(args.config)
-    seed = _seed_of(args, cfg)
     ds = _load_data(args.data)
     graph = ds.graph
     if args.cutoff is not None:
         graph = temporal_split(ds, args.cutoff).train.graph
-    model = _load_model(args.ckpt, graph)
     user = ds.ids.ref(args.user)
     if user.type != NodeType.USER:
         raise ConfigError(f"{args.user!r} is not a user id")
-    rng = np.random.default_rng(seed)
-    corpus = PathCorpus.build(
-        graph, [user], model.embed.metapaths, n=cfg.N, max_len=cfg.l, rng=rng
-    )
-    scorer = PolicyScorer(model, graph, corpus)
-    logits = scorer.logits(user)
+    logits = _model_scorer(args, cfg, graph, [user]).logits(user)
     already = {ref.index for ref in graph.neighbors(user, Relation.CLICK)}
     order = sorted(
         (c for c in range(len(logits)) if c not in already),

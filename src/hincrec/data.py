@@ -180,20 +180,16 @@ def temporal_split(ds: Dataset, cutoff: int) -> SplitResult:
     """Clicks at or before `cutoff` stay as training edges; later clicks
     become test positives, deduplicated per user. Positives of users with
     no training click, or repeating a pair already wired in training, are
-    dropped and counted, so no test positive exists as a training edge."""
-    train_graph = HinGraph()
-    for node_type in NodeType:
-        train_graph.add_nodes(node_type, ds.graph.node_count(node_type))
-    for lo, hi, kind, ts in ds.graph.edges():
-        if kind is not Relation.CLICK:
-            train_graph.add_edge(lo, hi, kind, ts)
+    dropped and counted, so no test positive exists as a training edge.
 
+    The training graph is a copy of ``ds.graph`` without the click edges
+    of pairs that have no click at or before `cutoff`, so ``ds.graph``
+    must hold every click of ``ds.clicks``, as `load_dataset` and
+    `generate_synthetic` build it. A kept click edge keeps the timestamp
+    of the dataset's edge."""
+    train_graph = ds.graph.copy()
     train_clicks = [c for c in ds.clicks if c.ts <= cutoff]
-    train_pairs: set[tuple[NodeRef, int]] = set()
-    for click in train_clicks:
-        train_graph.add_edge(click.user, click.concept, Relation.CLICK, click.ts)
-        train_pairs.add((click.user, click.concept.index))
-
+    train_pairs = {(c.user, c.concept.index) for c in train_clicks}
     train_users = {c.user for c in train_clicks}
     seen: set[tuple[NodeRef, int]] = set()
     test: list[tuple[NodeRef, int]] = []
@@ -206,11 +202,12 @@ def temporal_split(ds: Dataset, cutoff: int) -> SplitResult:
         if key in seen:
             continue  # repeat clicks on one concept collapse to a single positive
         seen.add(key)
-        if click.user not in train_users:
-            dropped_users += 1
-            continue
         if key in train_pairs:
             dropped_repeats += 1
+            continue
+        train_graph.remove_edge(click.user, click.concept, Relation.CLICK)
+        if click.user not in train_users:
+            dropped_users += 1
             continue
         test.append(key)
     test.sort(key=lambda pair: (pair[0].index, pair[1]))

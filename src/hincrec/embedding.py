@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tape, Var, attention_weights
-from .graph import HinGraph, NodeRef, NodeType
+from .graph import TYPE_ORDER, HinGraph, NodeRef, NodeType
 from .metapath import MetaPath, PathCorpus, metapath_neighbors
 
 
@@ -93,11 +93,9 @@ class EmbedParams:
         )
 
 
-_NODE_TYPES = tuple(NodeType)
-# A node's key is its type's position in NodeType, shifted left by 32
-# bits, or-ed with its index: keys sort by type, then by index.
-_TYPE_POS = {nt: pos for pos, nt in enumerate(_NODE_TYPES)}
-_TYPE_STARTS = np.arange(1, len(_NODE_TYPES), dtype=np.int64) << 32
+# A node's key is its type's position in TYPE_ORDER, shifted left by 32
+# bits, or-ed with its index: keys sort as `NodeRef.sort_key` does.
+_TYPE_STARTS = np.arange(1, len(TYPE_ORDER), dtype=np.int64) << 32
 
 
 def _keys(user: NodeRef, hoods: list[list[NodeRef]]) -> np.ndarray:
@@ -107,7 +105,7 @@ def _keys(user: NodeRef, hoods: list[list[NodeRef]]) -> np.ndarray:
         raise ValueError(f"only a user attends over meta-path neighborhoods, got {user!r}")
     keys = np.full((len(hoods), max(len(hood) for hood in hoods)), -1, dtype=np.int64)
     for p, hood in enumerate(hoods):
-        keys[p, : len(hood)] = [_TYPE_POS[ref.type] << 32 | ref.index for ref in hood]
+        keys[p, : len(hood)] = [TYPE_ORDER[ref.type] << 32 | ref.index for ref in hood]
     return keys
 
 
@@ -149,8 +147,8 @@ def _layout(keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray,
     return ids, rows, mask, rows[:, 0, 0]
 
 
-# (feature table, projection) names per node type, in NodeType order
-_TABLES = tuple((f"feat.{nt.value}", f"proj.{nt.value}") for nt in _NODE_TYPES)
+# (feature table, projection) names per node type, in TYPE_ORDER
+_TABLES = tuple((f"feat.{nt.value}", f"proj.{nt.value}") for nt in TYPE_ORDER)
 
 
 def _project(tape: Tape, leaves: dict[str, Var], ids: Sequence[np.ndarray]) -> Var:

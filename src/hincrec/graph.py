@@ -20,7 +20,8 @@ class NodeType(Enum):
     CONCEPT = "concept"
 
 
-_TYPE_ORDER = {t: i for i, t in enumerate(NodeType)}
+# Each node type's position in NodeType: nodes sort by it, then by index.
+TYPE_ORDER = {t: i for i, t in enumerate(NodeType)}
 
 
 class NodeRef(NamedTuple):
@@ -28,7 +29,7 @@ class NodeRef(NamedTuple):
     index: int
 
     def sort_key(self) -> tuple[int, int]:
-        return (_TYPE_ORDER[self.type], self.index)
+        return (TYPE_ORDER[self.type], self.index)
 
     def __repr__(self) -> str:
         return f"{self.type.value}:{self.index}"
@@ -68,9 +69,12 @@ def _canonical(a: NodeRef, b: NodeRef) -> tuple[NodeRef, NodeRef]:
 
 
 class HinGraph:
-    """Undirected typed multigraph with per-relation adjacency lists.
+    """Undirected typed graph with per-relation adjacency lists.
 
-    Adjacency is stored symmetrically (an edge appears under both
+    It holds at most one edge per (a, b, kind) triple, with the timestamp
+    it was first added with: `add_edge` refuses a repeat. The schema gives
+    each pair of node types one relation, so two nodes share at most one
+    edge. Adjacency is stored symmetrically (an edge appears under both
     endpoints) and neighbor lists are kept sorted by node index.
     Concurrent reads are safe; mutation requires exclusive access.
     """

@@ -64,7 +64,8 @@ def sample_instances(
     mp: MetaPath,
     n: int = 10,
     max_len: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> list[list[NodeRef]]:
     """Sample up to `n` walks from `user` conforming to `mp`.
 
@@ -82,8 +83,6 @@ def sample_instances(
         raise ValueError(
             f"max walk length {max_len} shorter than pattern length {len(mp.pattern)}"
         )
-    if rng is None:
-        rng = np.random.default_rng()
 
     out: list[list[NodeRef]] = []
     retries = 0
@@ -122,7 +121,8 @@ class PathCorpus:
         metapaths: Iterable[MetaPath],
         n: int = 10,
         max_len: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> "PathCorpus":
         corpus = cls(metapaths)
         for user in users:
@@ -135,7 +135,8 @@ class PathCorpus:
         user: NodeRef,
         n: int = 10,
         max_len: Optional[int] = None,
-        rng: Optional[np.random.Generator] = None,
+        *,
+        rng: np.random.Generator,
     ) -> None:
         """Re-walk all of one user's bags against the current graph."""
         self._kept.pop(user, None)

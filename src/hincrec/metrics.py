@@ -8,8 +8,8 @@ click popularity) stand in for external baselines.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -54,16 +54,8 @@ class EvalReport:
     _COLUMNS = ("HR@5", "HR@10", "HR@20", "NDCG@5", "NDCG@10", "NDCG@20", "MRR", "AUC")
 
     def values(self) -> tuple[float, ...]:
-        return (
-            self.hr5,
-            self.hr10,
-            self.hr20,
-            self.ndcg5,
-            self.ndcg10,
-            self.ndcg20,
-            self.mrr,
-            self.auc,
-        )
+        """The metric fields, in declaration order, which is `_COLUMNS`'s."""
+        return tuple(getattr(self, f.name) for f in fields(self)[: len(self._COLUMNS)])
 
     def to_tsv(self) -> str:
         """Single line of percentages with 2 decimals, metric-table order."""
@@ -127,8 +119,8 @@ def build_trials(
     test_positives: Iterable[tuple[NodeRef, int]],
     clicked_by_user: dict[NodeRef, set],
     n_concepts: int,
-    n_negatives: int = 99,
-    rng: Optional[np.random.Generator] = None,
+    n_negatives: int,
+    rng: np.random.Generator,
 ) -> list[TrialSpec]:
     """One trial per test positive with negatives sampled (without
     replacement) from concepts the user never clicked.
@@ -139,8 +131,6 @@ def build_trials(
     """
     if n_negatives < 1:
         raise ValueError(f"n_negatives must be >= 1, got {n_negatives}")
-    if rng is None:
-        rng = np.random.default_rng()
     trials = []
     all_concepts = np.arange(n_concepts)
     for user, positive in test_positives:

@@ -80,15 +80,14 @@ def init_model(
     graph: HinGraph,
     metapaths: Optional[list[MetaPath]] = None,
     embed_cfg: Optional[EmbedConfig] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> ModelParams:
     """Fresh parameters sized for `graph`; only the embedding draws from `rng`."""
     if metapaths is None:
         metapaths = builtin_metapaths()
     if embed_cfg is None:
         embed_cfg = EmbedConfig()
-    if rng is None:
-        rng = np.random.default_rng()
     embed = EmbedParams(embed_cfg, graph.node_counts, metapaths, rng)
     policy = PolicyParams(graph.node_count(NodeType.CONCEPT), embed_cfg.dim)
     return ModelParams(embed, policy)

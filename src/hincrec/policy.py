@@ -87,7 +87,7 @@ def build_action_distribution(
     """
     if actions.count() == 0:
         raise EmptyActionSet("no available concept to score")
-    return tape.masked_softmax(policy_logits(tape, leaves, u), actions.mask)
+    return tape.softmax(policy_logits(tape, leaves, u), actions.mask)
 
 
 def select_action(

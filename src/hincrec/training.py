@@ -217,7 +217,8 @@ def make_training_env(
     metapaths: list[MetaPath],
     walks_per_path: int = 10,
     max_walk_len: Optional[int] = None,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> TrainingEnv:
     users = sorted((u for u in targets if targets[u]), key=lambda r: r.index)
     if not users:
@@ -280,7 +281,9 @@ def play_episode(
             episode.steps.append(StepRecord(action, log_prob, reward, dist))
             if mutated:
                 episode.added_edges.append((user, NodeRef(NodeType.CONCEPT, action)))
-                rewalked.resample_user(env.graph, user, env.walks_per_path, env.max_walk_len, rng)
+                rewalked.resample_user(
+                    env.graph, user, env.walks_per_path, env.max_walk_len, rng=rng
+                )
                 u_var, _ = build_user_embedding(tape, leaves, model.embed, rewalked, user)
                 episode.embed_count += 1
             if reward < 0 or t >= horizon or actions.count() == 0:
@@ -312,7 +315,8 @@ def pretrain(
     episodes: int = 10_000,
     lr: float = 1e-3,
     batch: int = 8,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[ModelParams, list[float]]:
     """Cross-entropy pretraining against held-out next clicks.
 
@@ -324,8 +328,6 @@ def pretrain(
     parameters change. Returns the model and the per-episode mean loss
     trace.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     instances = [
         (user, concept)
         for user in env.users
@@ -366,7 +368,8 @@ def train_rl(
     epsilon: float = 0.18,
     lam: float = 0.08,
     lr: float = 1e-4,
-    rng: Optional[np.random.Generator] = None,
+    *,
+    rng: np.random.Generator,
 ) -> tuple[ModelParams, list[EpisodeStats]]:
     """REINFORCE fine-tuning with entropy regularization.
 
@@ -375,8 +378,6 @@ def train_rl(
     entropy-regularized return objective, and rolls the graph back to its
     base state.
     """
-    if rng is None:
-        rng = np.random.default_rng()
     adam = Adam(lr)
     stats: list[EpisodeStats] = []
     for ep in range(episodes):

@@ -61,10 +61,24 @@ class TestForward:
     def test_masked_softmax_zeros_and_sum(self):
         tape = Tape()
         mask = np.array([True, False, True, False])
-        p = tape.masked_softmax(tape.leaf([0.0, 50.0, math.log(3.0), -4.0]), mask)
+        p = tape.softmax(tape.leaf([0.0, 50.0, math.log(3.0), -4.0]), mask)
         assert p.value[1] == 0.0 and p.value[3] == 0.0
         assert abs(p.value.sum() - 1.0) < 1e-12
         assert np.allclose(p.value[[0, 2]], [0.25, 0.75], atol=1e-12)
+
+    def test_masked_softmax_rows(self):
+        # each row of a (B, K) batch is normalised over its own mask
+        tape = Tape()
+        x = tape.leaf([[0.0, 50.0, math.log(3.0)], [7.0, -1.0, 2.0], [1.0, 1.0, 1.0]])
+        mask = np.array([[True, False, True], [False, True, False], [True, True, True]])
+        p = tape.softmax(x, mask)
+        assert np.array_equal(p.value == 0.0, ~mask)
+        assert np.allclose(p.value.sum(axis=1), 1.0, atol=1e-12)
+        assert np.allclose(p.value[0, [0, 2]], [0.25, 0.75], atol=1e-12)
+        assert p.value[1, 1] == 1.0
+        assert np.allclose(p.value[2], 1.0 / 3.0, atol=1e-12)
+        tape.backward(tape.vsum(tape.matvec(p, tape.leaf([1.0, -2.0, 0.5]))))
+        assert np.all(x.grad[~mask] == 0.0)
 
     def test_vecadd_backward_distributes(self):
         tape, (a, b) = leaf_pair(np.array([1.0, -2.0]), np.array([0.5, 0.5]))
@@ -89,6 +103,12 @@ class TestForward:
             tape.vecadd(tape.leaf([1.0]), tape.leaf([1.0, 2.0]))
         with pytest.raises(ShapeMismatch):
             unfused.dot(tape, tape.leaf([1.0]), tape.leaf([1.0, 2.0]))
+        # a softmax row whose mask keeps nothing, and a mask of another shape
+        x = tape.leaf(np.zeros((2, 3)))
+        with pytest.raises(ShapeMismatch):
+            tape.softmax(x, [[True, False, False], [False, False, False]])
+        with pytest.raises(ShapeMismatch):
+            tape.softmax(x, [True, False, True])
 
     def test_concat_rows_of_matrices(self):
         tape, (a, b) = leaf_pair(np.ones((2, 3)), np.zeros((1, 3)))
@@ -269,9 +289,14 @@ class TestGradCheck:
         @case("masked_softmax")
         def _(t, lv):
             mask = np.array([True, True, False, True])
-            return unfused.dot(
-                t, t.masked_softmax(lv["v4"], mask), t.leaf([1.0, -2.0, 0.5, 3.0])
-            )
+            return unfused.dot(t, t.softmax(lv["v4"], mask), t.leaf([1.0, -2.0, 0.5, 3.0]))
+
+        @case("masked_softmax_rows")
+        def _(t, lv):
+            # a (B, K) batch whose rows keep two, two, one and all three entries
+            mask = np.array([[1, 0, 1], [0, 1, 1], [0, 1, 0], [1, 1, 1]]) > 0
+            weights = t.leaf([1.0, -2.0, 0.5])
+            return t.vsum(t.tanh(t.matvec(t.softmax(lv["A"], mask), weights)))
 
         @case("log")
         def _(t, lv):
@@ -292,6 +317,14 @@ class TestGradCheck:
         @case("gather_rows")
         def _(t, lv):
             return t.vsum(t.tanh(t.gather_rows(lv["H"], [4, 0, 2])))
+
+        @case("gather_rows_increasing")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.gather_rows(lv["H"], [0, 2, 4])))
+
+        @case("gather_rows_sorted_repeated")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.gather_rows(lv["H"], [0, 2, 2, 4])))
 
         @case("gather_rows_repeated")
         def _(t, lv):

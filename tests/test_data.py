@@ -11,7 +11,7 @@ from hincrec.data import (
     save_dataset,
     temporal_split,
 )
-from hincrec.graph import NodeRef, NodeType, Relation, SchemaViolation
+from hincrec.graph import HinGraph, NodeRef, NodeType, Relation, SchemaViolation
 from hincrec.synth import SynthConfig, generate_synthetic
 
 U, C, V, K = NodeType.USER, NodeType.COURSE, NodeType.VIDEO, NodeType.CONCEPT
@@ -126,6 +126,31 @@ def clicks_dataset(tmp_path, stamped):
     return load_dataset(*write_pair(tmp_path, nodes=nodes, edges=edges))
 
 
+SPLIT_WORLD = SynthConfig(users=30, concepts=12, clusters=3, courses=6, videos=9,
+                          p_in=0.8, p_out=0.1, clicks_per_user=8, seed=13)
+
+
+def eightieth_percentile(ds):
+    stamps = sorted(c.ts for c in ds.clicks)
+    return stamps[int(0.8 * len(stamps))]
+
+
+def built_edge_by_edge(ds, cutoff):
+    """The training graph built from scratch: every node, every edge but
+    the clicks, then each training click in log order (the first click of
+    a pair sets its time)."""
+    graph = HinGraph()
+    for node_type in NodeType:
+        graph.add_nodes(node_type, ds.graph.node_count(node_type))
+    for lo, hi, kind, ts in ds.graph.edges():
+        if kind is not Relation.CLICK:
+            graph.add_edge(lo, hi, kind, ts)
+    for click in ds.clicks:
+        if click.ts <= cutoff:
+            graph.add_edge(click.user, click.concept, Relation.CLICK, click.ts)
+    return graph
+
+
 class TestTemporalSplit:
     def test_basic_split(self, tmp_path):
         ds = clicks_dataset(tmp_path, [(0, 0, 1), (0, 1, 2), (0, 2, 3)])
@@ -174,6 +199,34 @@ class TestTemporalSplit:
             assert not split.train.graph.has_edge(
                 user, NodeRef(K, concept), Relation.CLICK
             )
+
+    def test_train_graph_keeps_other_edges_and_training_click_pairs(self):
+        ds = generate_synthetic(SPLIT_WORLD)
+        cutoff = eightieth_percentile(ds)
+        train = temporal_split(ds, cutoff).train.graph
+        kept = {(lo, hi, kind): ts for lo, hi, kind, ts in train.edges()}
+        every = {(lo, hi, kind): ts for lo, hi, kind, ts in ds.graph.edges()}
+        # a kept edge, click or not, keeps the dataset's timestamp
+        assert {e: every[e] for e in kept} == kept
+        others = {e for e in every if e[2] is not Relation.CLICK}
+        assert {e for e in kept if e[2] is not Relation.CLICK} == others
+        click_pairs = {(lo, hi) for lo, hi, kind in kept if kind is Relation.CLICK}
+        assert click_pairs == {(c.user, c.concept) for c in ds.clicks if c.ts <= cutoff}
+        assert click_pairs < {(c.user, c.concept) for c in ds.clicks}
+        built = built_edge_by_edge(ds, cutoff)
+        assert train.snapshot_digest() == built.snapshot_digest()
+        for node_type in NodeType:
+            for i in range(ds.graph.node_count(node_type)):
+                ref = NodeRef(node_type, i)
+                for kind in Relation:
+                    assert train.neighbors(ref, kind) == built.neighbors(ref, kind)
+
+    def test_train_graph_after_tsv_round_trip_keeps_click_times(self, tmp_path):
+        save_dataset(generate_synthetic(SPLIT_WORLD), tmp_path)
+        ds = load_dataset(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+        cutoff = eightieth_percentile(ds)
+        train = temporal_split(ds, cutoff).train.graph
+        assert list(train.edges()) == list(built_edge_by_edge(ds, cutoff).edges())
 
     def test_clicked_by_user_covers_both_windows(self, tmp_path):
         ds = clicks_dataset(tmp_path, [(0, 0, 1), (0, 1, 9)])

@@ -116,12 +116,16 @@ class TestSampling:
     def test_max_len_validation(self, fan_graph):
         g, users, _ = fan_graph
         with pytest.raises(ValueError):
-            sample_instances(g, users[0], builtin_metapaths()[1], n=1, max_len=3)
+            sample_instances(
+                g, users[0], builtin_metapaths()[1], n=1, max_len=3, rng=np.random.default_rng(0)
+            )
 
     def test_non_user_start_rejected(self, fan_graph):
         g, _, concepts = fan_graph
         with pytest.raises(ValueError):
-            sample_instances(g, concepts[0], builtin_metapaths()[0], n=1)
+            sample_instances(
+                g, concepts[0], builtin_metapaths()[0], n=1, rng=np.random.default_rng(0)
+            )
 
 
 class TestNeighbors:
