@@ -8,7 +8,6 @@ from .embedding import (
     EmbedConfig,
     EmbedParams,
     UserEmbedding,
-    node_attention,
     user_embedding,
 )
 from .policy import (
@@ -57,7 +56,7 @@ from .data import (
     save_dataset,
     temporal_split,
 )
-from .synth import ConfigInvalid, SynthConfig, generate_synthetic, in_cluster_fraction
+from .synth import ConfigInvalid, SynthConfig, generate_synthetic
 from .config import ConfigError, TrainConfig, load_synth_config, load_train_config
 
 __version__ = "0.1.0"

@@ -5,8 +5,9 @@ Formats (UTF-8, tab-separated, full-line ``#`` comments allowed):
   nodes.tsv  external_id <TAB> type            type in {user,course,video,concept}
   edges.tsv  src_id <TAB> relation <TAB> dst_id [<TAB> timestamp]
 
-Timestamps are unix seconds and are required on click edges (the click
-log drives the temporal train/test split).
+Timestamps are unix seconds. The column is checked on any edge and
+required on clicks; only the click log keeps it (it drives the temporal
+train/test split), and the graph stores edges untimed.
 """
 
 from __future__ import annotations
@@ -60,6 +61,10 @@ class Click:
     user: NodeRef
     concept: NodeRef
     ts: int
+
+    def sort_key(self) -> tuple[int, int, int]:
+        """The click log's order: by time, then user, then concept index."""
+        return (self.ts, self.user.index, self.concept.index)
 
 
 @dataclass
@@ -122,7 +127,7 @@ def load_dataset(nodes_path: Union[str, Path], edges_path: Union[str, Path]) -> 
             raise ParseError(f"{edges_path}:{lineno}: click edges require a timestamp")
         src, dst = ids.ref(src_name), ids.ref(dst_name)
         try:
-            graph.add_edge(src, dst, relation, ts)
+            graph.add_edge(src, dst, relation)
         except SchemaViolation as exc:
             raise SchemaViolation(f"{edges_path}:{lineno}: {exc}") from None
         if relation is Relation.CLICK:
@@ -143,16 +148,11 @@ def save_dataset(ds: Dataset, out_dir: Union[str, Path]) -> tuple[Path, Path]:
                 ref = NodeRef(node_type, i)
                 fh.write(f"{ds.ids.name(ref)}\t{node_type.value}\n")
     with open(edges_path, "w", encoding="utf-8") as fh:
-        for lo, hi, kind, ts in ds.graph.edges():
+        for lo, hi, kind in ds.graph.edges():
             if kind is Relation.CLICK:
                 continue  # the click log below carries every click with its time
-            row = f"{ds.ids.name(lo)}\t{kind.value}\t{ds.ids.name(hi)}"
-            if ts is not None:
-                row += f"\t{ts}"
-            fh.write(row + "\n")
-        for click in sorted(
-            ds.clicks, key=lambda c: (c.ts, c.user.index, c.concept.index)
-        ):
+            fh.write(f"{ds.ids.name(lo)}\t{kind.value}\t{ds.ids.name(hi)}\n")
+        for click in sorted(ds.clicks, key=Click.sort_key):
             fh.write(
                 f"{ds.ids.name(click.user)}\tclick\t{ds.ids.name(click.concept)}\t{click.ts}\n"
             )
@@ -185,8 +185,7 @@ def temporal_split(ds: Dataset, cutoff: int) -> SplitResult:
     The training graph is a copy of ``ds.graph`` without the click edges
     of pairs that have no click at or before `cutoff`, so ``ds.graph``
     must hold every click of ``ds.clicks``, as `load_dataset` and
-    `generate_synthetic` build it. A kept click edge keeps the timestamp
-    of the dataset's edge."""
+    `generate_synthetic` build it."""
     train_graph = ds.graph.copy()
     train_clicks = [c for c in ds.clicks if c.ts <= cutoff]
     train_pairs = {(c.user, c.concept.index) for c in train_clicks}

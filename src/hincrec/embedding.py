@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .autodiff import Tape, Var, attention_weights
+from .autodiff import Tape, Var
 from .graph import TYPE_ORDER, HinGraph, NodeRef, NodeType
 from .metapath import MetaPath, PathCorpus, metapath_neighbors
 
@@ -211,34 +211,7 @@ def build_user_embedding(
     return tape.gather_row(u, 0), tape.gather_row(beta, 0)
 
 
-# -- numpy-facing wrappers over the tape builders -------------------------
-
-
-def _const_leaves(tape: Tape, params: EmbedParams) -> dict[str, Var]:
-    return {k: tape.leaf(v) for k, v in params.tensors.items()}
-
-
-def node_attention(
-    params: EmbedParams,
-    node: NodeRef,
-    neighborhood: list[NodeRef],
-    mp: MetaPath,
-    head: int,
-) -> np.ndarray:
-    """Attention weights of `node` over `neighborhood` for one head."""
-    if not neighborhood:
-        raise ValueError("neighborhood must be nonempty")
-    tape = Tape(record=False)
-    leaves = _const_leaves(tape, params)
-    # the node leads its keys so that its row is laid out, then attends
-    # over the neighborhood as given
-    ids, rows, mask, self_rows = _layout(_keys(node, [[node, *neighborhood]])[None])
-    h = _project(tape, leaves, ids).value
-    a = leaves[f"attn.mp{mp.id}"].value
-    _, _, alpha = attention_weights(
-        h, rows[..., 1:], mask[..., 1:], a, params.cfg.leaky_slope, self_rows
-    )
-    return alpha[0, 0, head]
+# -- numpy-facing wrapper over the tape builders --------------------------
 
 
 def user_embedding(
@@ -258,5 +231,6 @@ def user_embedding(
     graph._check_node(user)
     tape = Tape(record=False)
     hood = _keys(user, [metapath_neighbors(corpus, user, mp) for mp in params.metapaths])
-    u, beta = build_user_embeddings(tape, _const_leaves(tape, params), params, [hood])
+    leaves = {k: tape.leaf(v) for k, v in params.tensors.items()}
+    u, beta = build_user_embeddings(tape, leaves, params, [hood])
     return UserEmbedding(vector=u.value[0], beta=beta.value[0])

@@ -1,8 +1,8 @@
 """Typed heterogeneous graph store for MOOC interaction data.
 
 Nodes are (type, index) pairs with dense per-type indices. Edges are
-undirected, relation-typed, optionally timestamped, and checked against the
-schema: each relation may only connect one specific pair of node types.
+undirected, relation-typed and checked against the schema: each relation
+may only connect one specific pair of node types.
 """
 
 from __future__ import annotations
@@ -10,7 +10,8 @@ from __future__ import annotations
 import bisect
 import hashlib
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional
+from operator import attrgetter
+from typing import Iterator, NamedTuple, Sequence
 
 
 class NodeType(Enum):
@@ -64,25 +65,31 @@ class SchemaViolation(Exception):
     """Edge endpoints do not match the relation's declared type pair."""
 
 
-def _canonical(a: NodeRef, b: NodeRef) -> tuple[NodeRef, NodeRef]:
-    return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
+# bisect calls its key once per probe; attrgetter runs in C, a lambda would not
+_INDEX = attrgetter("index")
+
+
+def _locate(nbrs: Sequence[NodeRef], node: NodeRef) -> tuple[int, bool]:
+    """Where `node` sits, or would go, in an index-sorted neighbor list,
+    and whether it is there."""
+    i = bisect.bisect_left(nbrs, node.index, key=_INDEX)
+    return i, i < len(nbrs) and nbrs[i] == node
 
 
 class HinGraph:
-    """Undirected typed graph with per-relation adjacency lists.
+    """Undirected typed graph stored as per-relation adjacency lists.
 
-    It holds at most one edge per (a, b, kind) triple, with the timestamp
-    it was first added with: `add_edge` refuses a repeat. The schema gives
-    each pair of node types one relation, so two nodes share at most one
-    edge. Adjacency is stored symmetrically (an edge appears under both
-    endpoints) and neighbor lists are kept sorted by node index.
+    The lists, kept sorted by node index, are the only record of edges:
+    (a, b, kind) is `b` in the list of (a, kind) and `a` in that of
+    (b, kind). Edges carry no timestamp (click times live in the click
+    log), and `add_edge` refuses a repeated triple. The schema gives each
+    pair of node types one relation, so two nodes share at most one edge.
     Concurrent reads are safe; mutation requires exclusive access.
     """
 
     def __init__(self) -> None:
         self._counts: dict[NodeType, int] = {t: 0 for t in NodeType}
         self._adj: dict[tuple[NodeRef, Relation], list[NodeRef]] = {}
-        self._ts: dict[tuple[Relation, NodeRef, NodeRef], Optional[int]] = {}
 
     # -- nodes ---------------------------------------------------------
 
@@ -110,13 +117,7 @@ class HinGraph:
 
     # -- edges ---------------------------------------------------------
 
-    def add_edge(
-        self,
-        a: NodeRef,
-        b: NodeRef,
-        kind: Relation,
-        ts: Optional[int] = None,
-    ) -> bool:
+    def add_edge(self, a: NodeRef, b: NodeRef, kind: Relation) -> bool:
         """Insert the undirected edge (a, b, kind).
 
         Returns True on insertion, False (and no mutation) when the same
@@ -130,38 +131,26 @@ class HinGraph:
                 f"relation {kind.value!r} cannot connect "
                 f"{a.type.value} and {b.type.value}"
             )
-        key = (kind, *_canonical(a, b))
-        if key in self._ts:
+        if self.has_edge(a, b, kind):
             return False
-        self._ts[key] = ts
-        self._insert(a, kind, b)
-        self._insert(b, kind, a)
+        for node, other in ((a, b), (b, a)):
+            nbrs = self._adj.setdefault((node, kind), [])
+            nbrs.insert(_locate(nbrs, other)[0], other)
         return True
 
     def remove_edge(self, a: NodeRef, b: NodeRef, kind: Relation) -> bool:
         """Delete the edge triple if present; returns whether it existed."""
-        key = (kind, *_canonical(a, b))
-        if key not in self._ts:
+        if not self.has_edge(a, b, kind):
             return False
-        del self._ts[key]
-        self._delete(a, kind, b)
-        self._delete(b, kind, a)
+        for node, other in ((a, b), (b, a)):
+            nbrs = self._adj[(node, kind)]
+            del nbrs[_locate(nbrs, other)[0]]
+            if not nbrs:
+                del self._adj[(node, kind)]
         return True
 
     def has_edge(self, a: NodeRef, b: NodeRef, kind: Relation) -> bool:
-        return (kind, *_canonical(a, b)) in self._ts
-
-    def _insert(self, node: NodeRef, kind: Relation, other: NodeRef) -> None:
-        lst = self._adj.setdefault((node, kind), [])
-        bisect.insort(lst, other, key=lambda r: r.index)
-
-    def _delete(self, node: NodeRef, kind: Relation, other: NodeRef) -> None:
-        lst = self._adj[(node, kind)]
-        i = bisect.bisect_left(lst, other.index, key=lambda r: r.index)
-        if i < len(lst) and lst[i] == other:
-            del lst[i]
-        if not lst:
-            del self._adj[(node, kind)]
+        return _locate(self._adj.get((a, kind), ()), b)[1]
 
     def neighbors(self, node: NodeRef, kind: Relation) -> list[NodeRef]:
         """Distinct neighbors of `node` under `kind`, sorted by index."""
@@ -172,14 +161,18 @@ class HinGraph:
         return self._adj.get((node, kind), [])
 
     def edge_count(self) -> int:
-        return len(self._ts)
+        # every edge is listed under both of its endpoints
+        return sum(map(len, self._adj.values())) // 2
 
-    def edges(self) -> Iterator[tuple[NodeRef, NodeRef, Relation, Optional[int]]]:
-        """All edges as canonical (lo, hi, kind, ts) tuples, sorted."""
-        for kind, lo, hi in sorted(
-            self._ts, key=lambda k: (k[0].value, k[1].sort_key(), k[2].sort_key())
-        ):
-            yield lo, hi, kind, self._ts[(kind, lo, hi)]
+    def edges(self) -> Iterator[tuple[NodeRef, NodeRef, Relation]]:
+        """All edges as canonical (lo, hi, kind) triples, sorted by relation
+        name, then `lo`, then `hi`. A relation fixes the type of `lo`, so
+        the lists of the `lo` ends, sorted, are read as stored."""
+        lows = [key for key, nbrs in self._adj.items() if key[0].sort_key() < nbrs[0].sort_key()]
+        lows.sort(key=lambda key: (key[1].value, key[0].index))
+        for lo, kind in lows:
+            for hi in self._adj[(lo, kind)]:
+                yield lo, hi, kind
 
     # -- digest / copy -------------------------------------------------
 
@@ -189,7 +182,7 @@ class HinGraph:
         Invariant under insertion order; equal edge sets give equal digests.
         """
         h = hashlib.blake2b(digest_size=8)
-        for lo, hi, kind, _ in self.edges():
+        for lo, hi, kind in self.edges():
             h.update(
                 f"{kind.value}|{lo.type.value}:{lo.index}|"
                 f"{hi.type.value}:{hi.index}\n".encode()
@@ -200,5 +193,4 @@ class HinGraph:
         g = HinGraph()
         g._counts = dict(self._counts)
         g._adj = {k: list(v) for k, v in self._adj.items()}
-        g._ts = dict(self._ts)
         return g

@@ -58,14 +58,9 @@ class SynthConfig:
             raise ConfigInvalid("clicks_per_user must be >= 1")
 
 
-def in_cluster_fraction(cfg: SynthConfig) -> float:
-    """Expected fraction of clicks landing in the user's own cluster."""
-    cfg = cfg.resolved()
-    return cfg.p_in / (cfg.p_in + (cfg.clusters - 1) * cfg.p_out)
-
-
 def generate_synthetic(cfg: SynthConfig) -> Dataset:
-    """Deterministic dataset for `cfg` (a pure function of the config)."""
+    """Deterministic dataset for `cfg` (a pure function of the config), its
+    clicks in the log order that `save_dataset` writes."""
     cfg = cfg.resolved()
     rng = np.random.default_rng(cfg.seed)
     graph = HinGraph()
@@ -132,7 +127,7 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
             pool = concepts_in[cluster]
             concept = pool[int(rng.integers(len(pool)))]
             ts = TS_START + int(rng.integers(TS_SPAN))
-            graph.add_edge(user, concept, Relation.CLICK, ts)
+            graph.add_edge(user, concept, Relation.CLICK)
             clicks.append(Click(user, concept, ts))
-
+    clicks.sort(key=Click.sort_key)
     return Dataset(graph=graph, clicks=clicks, ids=ids)

@@ -17,7 +17,7 @@ def fan_graph():
     concepts = g.add_nodes(NodeType.CONCEPT, 2)
     for u in users:
         for k in concepts:
-            g.add_edge(u, k, Relation.CLICK, ts=100)
+            g.add_edge(u, k, Relation.CLICK)
     return g, users, concepts
 
 
@@ -27,8 +27,8 @@ def line_graph():
     g = HinGraph()
     users = g.add_nodes(NodeType.USER, 2)
     (k0,) = g.add_nodes(NodeType.CONCEPT, 1)
-    g.add_edge(users[0], k0, Relation.CLICK, ts=1)
-    g.add_edge(users[1], k0, Relation.CLICK, ts=2)
+    g.add_edge(users[0], k0, Relation.CLICK)
+    g.add_edge(users[1], k0, Relation.CLICK)
     return g, users, k0
 
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_metrics
+from unfused import node_attention
 
 from hincrec.autodiff import Tape, grad_check
 from hincrec.cli import main as cli_main
@@ -20,7 +21,6 @@ from hincrec.data import holdout_targets, temporal_split
 from hincrec.embedding import (
     EmbedConfig,
     build_user_embedding,
-    node_attention,
     user_embedding,
 )
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
@@ -315,8 +315,8 @@ def line_world():
     g = HinGraph()
     users = g.add_nodes(U, 2)
     concepts = g.add_nodes(K, 4)
-    g.add_edge(users[1], concepts[0], Relation.CLICK, ts=1)
-    g.add_edge(users[1], concepts[1], Relation.CLICK, ts=2)
+    g.add_edge(users[1], concepts[0], Relation.CLICK)
+    g.add_edge(users[1], concepts[1], Relation.CLICK)
     return g, users, concepts
 
 

@@ -96,6 +96,11 @@ class TestLoad:
         assert ds.graph.node_count(C) == 7327
 
 
+# the acceptance world of tests/test_acceptance.py
+ACCEPTANCE_WORLD = SynthConfig(users=200, concepts=50, clusters=5, p_in=0.9, p_out=0.02,
+                               clicks_per_user=20, seed=7)
+
+
 class TestSaveRoundTrip:
     def test_digest_preserved(self, tmp_path):
         cfg = SynthConfig(users=25, concepts=10, clusters=2, courses=4, videos=6,
@@ -105,6 +110,22 @@ class TestSaveRoundTrip:
         loaded = load_dataset(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
         assert loaded.graph.snapshot_digest() == ds.graph.snapshot_digest()
         assert len(loaded.clicks) == len(ds.clicks)
+
+    def test_generated_world_equals_its_round_trip(self, tmp_path):
+        # the generator's clicks come in the order the files keep them,
+        # and its graph is the one the files rebuild
+        ds = generate_synthetic(ACCEPTANCE_WORLD)
+        save_dataset(ds, tmp_path)
+        loaded = load_dataset(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
+        assert loaded.clicks == ds.clicks
+        assert list(loaded.graph.edges()) == list(ds.graph.edges())
+        assert loaded.graph.snapshot_digest() == ds.graph.snapshot_digest()
+        assert loaded.graph.node_counts == ds.graph.node_counts
+        for node_type in NodeType:
+            for i in range(ds.graph.node_count(node_type)):
+                ref = NodeRef(node_type, i)
+                for kind in Relation:
+                    assert loaded.graph.neighbors(ref, kind) == ds.graph.neighbors(ref, kind)
 
     def test_save_deterministic(self, tmp_path):
         cfg = SynthConfig(users=12, concepts=8, clusters=2, courses=4, videos=4,
@@ -137,17 +158,16 @@ def eightieth_percentile(ds):
 
 def built_edge_by_edge(ds, cutoff):
     """The training graph built from scratch: every node, every edge but
-    the clicks, then each training click in log order (the first click of
-    a pair sets its time)."""
+    the clicks, then the pair of each training click."""
     graph = HinGraph()
     for node_type in NodeType:
         graph.add_nodes(node_type, ds.graph.node_count(node_type))
-    for lo, hi, kind, ts in ds.graph.edges():
+    for lo, hi, kind in ds.graph.edges():
         if kind is not Relation.CLICK:
-            graph.add_edge(lo, hi, kind, ts)
+            graph.add_edge(lo, hi, kind)
     for click in ds.clicks:
         if click.ts <= cutoff:
-            graph.add_edge(click.user, click.concept, Relation.CLICK, click.ts)
+            graph.add_edge(click.user, click.concept, Relation.CLICK)
     return graph
 
 
@@ -204,10 +224,8 @@ class TestTemporalSplit:
         ds = generate_synthetic(SPLIT_WORLD)
         cutoff = eightieth_percentile(ds)
         train = temporal_split(ds, cutoff).train.graph
-        kept = {(lo, hi, kind): ts for lo, hi, kind, ts in train.edges()}
-        every = {(lo, hi, kind): ts for lo, hi, kind, ts in ds.graph.edges()}
-        # a kept edge, click or not, keeps the dataset's timestamp
-        assert {e: every[e] for e in kept} == kept
+        kept = set(train.edges())
+        every = set(ds.graph.edges())
         others = {e for e in every if e[2] is not Relation.CLICK}
         assert {e for e in kept if e[2] is not Relation.CLICK} == others
         click_pairs = {(lo, hi) for lo, hi, kind in kept if kind is Relation.CLICK}
@@ -220,13 +238,6 @@ class TestTemporalSplit:
                 ref = NodeRef(node_type, i)
                 for kind in Relation:
                     assert train.neighbors(ref, kind) == built.neighbors(ref, kind)
-
-    def test_train_graph_after_tsv_round_trip_keeps_click_times(self, tmp_path):
-        save_dataset(generate_synthetic(SPLIT_WORLD), tmp_path)
-        ds = load_dataset(tmp_path / "nodes.tsv", tmp_path / "edges.tsv")
-        cutoff = eightieth_percentile(ds)
-        train = temporal_split(ds, cutoff).train.graph
-        assert list(train.edges()) == list(built_edge_by_edge(ds, cutoff).edges())
 
     def test_clicked_by_user_covers_both_windows(self, tmp_path):
         ds = clicks_dataset(tmp_path, [(0, 0, 1), (0, 1, 9)])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import unfused
-from unfused import node_aggregate, path_attention, project
+from unfused import node_aggregate, node_attention, path_attention, project
 
 from hincrec.autodiff import Tape, grad_check
 from hincrec.data import holdout_targets, temporal_split
@@ -14,7 +14,6 @@ from hincrec.embedding import (
     build_user_embedding,
     build_user_embeddings,
     neighborhood,
-    node_attention,
     user_embedding,
 )
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
@@ -183,8 +182,8 @@ def build_line_world(seed=0, **cfg_kw):
     g = HinGraph()
     users = g.add_nodes(U, 2)
     concepts = g.add_nodes(K, 2)
-    g.add_edge(users[1], concepts[0], Relation.CLICK, ts=1)
-    g.add_edge(users[1], concepts[1], Relation.CLICK, ts=2)
+    g.add_edge(users[1], concepts[0], Relation.CLICK)
+    g.add_edge(users[1], concepts[1], Relation.CLICK)
     counts = g.node_counts
     params = tiny_params(counts=counts, seed=seed, **cfg_kw)
     return g, users, concepts, params
@@ -232,7 +231,7 @@ class TestUserEmbedding:
         # U0's bags hold walks with different node sets, so a per-call walk
         # draw would make two calls disagree
         g, users, concepts, params = build_line_world()
-        g.add_edge(users[0], concepts[0], Relation.CLICK, ts=3)
+        g.add_edge(users[0], concepts[0], Relation.CLICK)
         corpus = PathCorpus.build(g, users, params.metapaths, n=6,
                                   rng=np.random.default_rng(0))
         mp2_sets = {frozenset(w) for w in corpus.bag(users[0], 2)}
@@ -244,7 +243,7 @@ class TestUserEmbedding:
 
     def test_policy_scorer_independent_of_scoring_order(self):
         g, users, concepts, _ = build_line_world()
-        g.add_edge(users[0], concepts[0], Relation.CLICK, ts=3)
+        g.add_edge(users[0], concepts[0], Relation.CLICK)
         cfg = EmbedConfig(dim=4, heads=2, feat_dim=3, path_hidden=5)
         model = init_model(g, builtin_metapaths(), cfg, rng=np.random.default_rng(0))
         # zero-initialised scores would give zero logits for every user
@@ -289,7 +288,7 @@ class TestEmbeddingGradients:
     def test_grad_check_squared_norm(self):
         # d(0.5 * |u|^2)/d(theta) for every embedding tensor on a small graph
         g, users, concepts, params = build_line_world(seed=3)
-        g.add_edge(users[0], concepts[0], Relation.CLICK, ts=3)
+        g.add_edge(users[0], concepts[0], Relation.CLICK)
         corpus = PathCorpus.build(g, users, params.metapaths, n=3,
                                   rng=np.random.default_rng(1))
 

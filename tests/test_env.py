@@ -29,8 +29,8 @@ def toy_world(n_concepts=4, targets=(1, 2), seed=0):
     g = HinGraph()
     users = g.add_nodes(U, 2)
     concepts = g.add_nodes(K, n_concepts)
-    g.add_edge(users[0], concepts[0], Relation.CLICK, ts=1)
-    g.add_edge(users[1], concepts[0], Relation.CLICK, ts=1)
+    g.add_edge(users[0], concepts[0], Relation.CLICK)
+    g.add_edge(users[1], concepts[0], Relation.CLICK)
     gt = {users[0]: frozenset(targets)}
     env = make_training_env(
         g, gt, builtin_metapaths(), walks_per_path=3, rng=np.random.default_rng(seed)

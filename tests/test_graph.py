@@ -5,6 +5,7 @@ import pytest
 
 from hincrec.graph import (
     ENDPOINTS,
+    TYPE_ORDER,
     HinGraph,
     NodeRef,
     NodeType,
@@ -180,3 +181,93 @@ class TestDigest:
 
     def test_digest_fits_64_bits(self):
         assert 0 <= HinGraph().snapshot_digest() < 2**64
+
+
+class TestAgainstTripleSet:
+    """Seeded random add/remove/copy sequences, checked after every step
+    against a plain set of canonical (lo, hi, kind) triples."""
+
+    COUNTS = {NodeType.USER: 4, NodeType.COURSE: 3, NodeType.VIDEO: 3, NodeType.CONCEPT: 5}
+
+    @staticmethod
+    def canonical(a, b, kind):
+        return (a, b, kind) if a.sort_key() <= b.sort_key() else (b, a, kind)
+
+    @staticmethod
+    def in_order(triples):
+        """The triples sorted by relation name, then by endpoint keys."""
+        return sorted(triples, key=lambda t: (t[2].value, t[0].sort_key(), t[1].sort_key()))
+
+    def fresh(self):
+        g = HinGraph()
+        for node_type, n in self.COUNTS.items():
+            g.add_nodes(node_type, n)
+        return g
+
+    def random_edge(self, rng):
+        kind = list(Relation)[int(rng.integers(len(Relation)))]
+        a, b = (NodeRef(t, int(rng.integers(self.COUNTS[t]))) for t in ENDPOINTS[kind])
+        return (a, b, kind) if rng.random() < 0.5 else (b, a, kind)
+
+    def assert_agrees(self, g, triples):
+        assert g.edge_count() == len(triples)
+        assert list(g.edges()) == self.in_order(triples)
+        for kind, pair in ENDPOINTS.items():
+            lo_type, hi_type = sorted(pair, key=TYPE_ORDER.__getitem__)
+            los = [NodeRef(lo_type, i) for i in range(self.COUNTS[lo_type])]
+            his = [NodeRef(hi_type, j) for j in range(self.COUNTS[hi_type])]
+            for lo, hi in itertools.product(los, his):
+                present = (lo, hi, kind) in triples
+                assert g.has_edge(lo, hi, kind) is present
+                assert g.has_edge(hi, lo, kind) is present
+        for node_type, n in self.COUNTS.items():
+            for node in (NodeRef(node_type, i) for i in range(n)):
+                for kind in Relation:
+                    expected = sorted(
+                        [hi for lo, hi, k in triples if k is kind and lo == node]
+                        + [lo for lo, hi, k in triples if k is kind and hi == node],
+                        key=lambda r: r.index,
+                    )
+                    assert g.neighbors(node, kind) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_sequence(self, seed):
+        rng = np.random.default_rng(seed)
+        g, triples = self.fresh(), set()
+        copies = []  # (graph, the triples it held when the other was copied)
+        for _ in range(200):
+            op = rng.random()
+            if op < 0.1:
+                copy = g.copy()
+                self.assert_agrees(copy, triples)
+                if rng.random() < 0.5:  # carry on with the copy or the original
+                    g, copy = copy, g
+                copies.append((copy, frozenset(triples)))
+                continue
+            if op < 0.55:
+                a, b, kind = self.random_edge(rng)
+                inserted = g.add_edge(a, b, kind)
+                assert inserted is (self.canonical(a, b, kind) not in triples)
+                triples.add(self.canonical(a, b, kind))
+            else:
+                if triples and rng.random() < 0.5:
+                    a, b, kind = self.in_order(triples)[int(rng.integers(len(triples)))]
+                else:
+                    a, b, kind = self.random_edge(rng)
+                removed = g.remove_edge(a, b, kind)
+                assert removed is (self.canonical(a, b, kind) in triples)
+                triples.discard(self.canonical(a, b, kind))
+            self.assert_agrees(g, triples)
+        assert copies
+        for copy, held in copies:
+            self.assert_agrees(copy, held)
+        # the digest depends on the edge set only: any insertion order and
+        # orientation of the same triples gives it
+        listed = self.in_order(triples)
+        for _ in range(3):
+            rebuilt = self.fresh()
+            for i in rng.permutation(len(listed)):
+                lo, hi, kind = listed[i]
+                assert rebuilt.add_edge(*((lo, hi) if rng.random() < 0.5 else (hi, lo)), kind)
+            assert rebuilt.snapshot_digest() == g.snapshot_digest()
+            assert list(rebuilt.edges()) == list(g.edges())

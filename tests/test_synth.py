@@ -10,18 +10,19 @@ import pytest
 import hincrec
 from hincrec.graph import NodeType, Relation
 from hincrec.metapath import builtin_metapaths, sample_instances
-from hincrec.synth import (
-    ConfigInvalid,
-    SynthConfig,
-    generate_synthetic,
-    in_cluster_fraction,
-)
+from hincrec.synth import ConfigInvalid, SynthConfig, generate_synthetic
 
 U, K = NodeType.USER, NodeType.CONCEPT
 
 
 def cluster_of(ref, clusters):
     return ref.index % clusters
+
+
+def in_cluster_fraction(cfg: SynthConfig) -> float:
+    """Expected fraction of clicks landing in the user's own cluster."""
+    cfg = cfg.resolved()
+    return cfg.p_in / (cfg.p_in + (cfg.clusters - 1) * cfg.p_out)
 
 
 class TestConfig:
@@ -81,7 +82,7 @@ class TestGenerator:
     def test_schema_complete(self):
         cfg = SynthConfig(users=30, concepts=10, clusters=2, seed=3)
         ds = generate_synthetic(cfg)
-        kinds = {kind for _, _, kind, _ in ds.graph.edges()}
+        kinds = {kind for _, _, kind in ds.graph.edges()}
         assert kinds == set(Relation)
 
     def test_metapath_walks_exist_for_all_patterns(self):

@@ -12,8 +12,9 @@ live here as functions of a tape rather than as ``Tape`` methods; they
 record onto the tape like its own primitives do.
 
 So do the numpy-facing views of single stages that only the tests read:
-one node's projection, one meta-path's aggregation, the path-level
-weights of given embeddings and the action distribution of a vector.
+one node's projection, one node's attention weights over a given
+neighborhood, one meta-path's aggregation, the path-level weights of
+given embeddings and the action distribution of a vector.
 """
 
 from __future__ import annotations
@@ -22,8 +23,15 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from hincrec.autodiff import ShapeMismatch, Tape, Var, _accum
-from hincrec.embedding import EmbedParams, UserEmbedding, _layout, _project, neighborhood
+from hincrec.autodiff import ShapeMismatch, Tape, Var, _accum, attention_weights
+from hincrec.embedding import (
+    EmbedParams,
+    UserEmbedding,
+    _keys,
+    _layout,
+    _project,
+    neighborhood,
+)
 from hincrec.graph import NodeRef
 from hincrec.metapath import MetaPath, PathCorpus, metapath_neighbors
 from hincrec.policy import ActionSet, PolicyParams, build_action_distribution
@@ -203,6 +211,29 @@ def node_aggregate(
     a = leaves[f"attn.mp{mp.id}"]
     slope = params.cfg.leaky_slope
     return tape.multihead_attention(h, rows, mask, a, slope, self_rows).value[0, 0]
+
+
+def node_attention(
+    params: EmbedParams,
+    node: NodeRef,
+    neighborhood: list[NodeRef],
+    mp: MetaPath,
+    head: int,
+) -> np.ndarray:
+    """Attention weights of `node` over `neighborhood` for one head."""
+    if not neighborhood:
+        raise ValueError("neighborhood must be nonempty")
+    tape = Tape(record=False)
+    leaves = _const_leaves(tape, params.tensors)
+    # the node leads its keys so that its row is laid out, then attends
+    # over the neighborhood as given
+    ids, rows, mask, self_rows = _layout(_keys(node, [[node, *neighborhood]])[None])
+    h = _project(tape, leaves, ids).value
+    a = leaves[f"attn.mp{mp.id}"].value
+    _, _, alpha = attention_weights(
+        h, rows[..., 1:], mask[..., 1:], a, params.cfg.leaky_slope, self_rows
+    )
+    return alpha[0, 0, head]
 
 
 def path_attention(

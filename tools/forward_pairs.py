@@ -1,4 +1,4 @@
-"""In-process A/B of two ``src`` trees on one user's forward paths.
+"""In-process A/B of two ``src`` trees on set-up and one user's forward paths.
 
     python3 tools/forward_pairs.py --parent DIR/src --change DIR/src
         [--pairs 20] [--users 50] [--world acceptance] [--seed 0]
@@ -10,6 +10,9 @@ drawn score table so that logits do not tie) from the same seed. Every
 pair times each measurement once per side, the parent first on even
 pairs and the change first on odd ones:
 
+- ``setup``: one ``temporal_split`` of the side's world at the 80th
+  percentile of its click times, then ``holdout_targets(0.5)`` of the
+  training split, as the world's set-up runs them; one run per figure;
 - ``forward``: one user's forward-only ``user_embedding`` from a corpus
   that holds the user's bags and nothing derived from them, as a
   ``recommend`` request embeds after its walks;
@@ -18,9 +21,10 @@ pairs and the change first on odd ones:
   entropy term, then the backward pass: the first step of an RL episode;
 - ``pretrain_batch``: one ``pretrain`` episode of 8 users, Adam included.
 
-A pair's figure is the mean over ``--users`` users (or batches). The
-table gives each side's median over the pairs in microseconds, the
-change/parent ratio of the medians and the median of the pairs' ratios.
+Except for ``setup``, a pair's figure is the mean over ``--users`` users
+(or batches). The table gives each side's median over the pairs in
+microseconds, the change/parent ratio of the medians and the median of
+the pairs' ratios.
 """
 
 from __future__ import annotations
@@ -61,11 +65,10 @@ class Side:
 
     def __init__(self, pkg, world: str, seed: int, n_users: int):
         self.pkg = pkg
-        ds = pkg.synth.generate_synthetic(pkg.synth.SynthConfig(**WORLDS[world]))
-        stamps = sorted(c.ts for c in ds.clicks)
-        hold = pkg.data.holdout_targets(
-            pkg.data.temporal_split(ds, stamps[int(0.8 * len(stamps))]).train, 0.5
-        )
+        self.ds = pkg.synth.generate_synthetic(pkg.synth.SynthConfig(**WORLDS[world]))
+        stamps = sorted(c.ts for c in self.ds.clicks)
+        self.cutoff = stamps[int(0.8 * len(stamps))]
+        hold = self._split()
         rng = np.random.default_rng(seed)
         mps = pkg.metapath.builtin_metapaths()
         self.env = pkg.training.make_training_env(
@@ -77,6 +80,15 @@ class Side:
         self.rng = rng
         picks = np.random.default_rng([seed, 1]).choice(len(self.env.users), n_users, False)
         self.users = [self.env.users[int(i)] for i in picks]
+
+    def _split(self):
+        data = self.pkg.data
+        return data.holdout_targets(data.temporal_split(self.ds, self.cutoff).train, 0.5)
+
+    def setup(self) -> float:
+        t0 = time.perf_counter()
+        self._split()
+        return time.perf_counter() - t0
 
     def forward(self) -> float:
         pkg, env = self.pkg, self.env
@@ -111,7 +123,7 @@ class Side:
         return (time.perf_counter() - t0) / n
 
 
-MEASUREMENTS = ("forward", "rl_step", "pretrain_batch")
+MEASUREMENTS = ("setup", "forward", "rl_step", "pretrain_batch")
 
 
 def run_pairs(sides: dict[str, Side], pairs: int) -> dict[str, dict[str, list[float]]]:
