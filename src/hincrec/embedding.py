@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tape, Var
-from .graph import TYPE_ORDER, HinGraph, NodeRef, NodeType
+from .graph import KEY_SHIFT, TYPE_ORDER, HinGraph, NodeRef, NodeType
 from .metapath import MetaPath, PathCorpus, metapath_neighbors
 
 
@@ -93,33 +93,30 @@ class EmbedParams:
         )
 
 
-# A node's key is its type's position in TYPE_ORDER, shifted left by 32
-# bits, or-ed with its index: keys sort as `NodeRef.sort_key` does.
-_TYPE_STARTS = np.arange(1, len(TYPE_ORDER), dtype=np.int64) << 32
+# The key of each node type's first node, after the first type's.
+_TYPE_STARTS = np.arange(1, len(TYPE_ORDER), dtype=np.int64) << KEY_SHIFT
 
 
-def _keys(user: NodeRef, hoods: list[list[NodeRef]]) -> np.ndarray:
-    """The (P, L) node keys of `user`'s neighborhoods `hoods` (node lists
-    that begin with the user), padded with -1."""
-    if user.type is not NodeType.USER:
-        raise ValueError(f"only a user attends over meta-path neighborhoods, got {user!r}")
-    keys = np.full((len(hoods), max(len(hood) for hood in hoods)), -1, dtype=np.int64)
-    for p, hood in enumerate(hoods):
-        keys[p, : len(hood)] = [TYPE_ORDER[ref.type] << 32 | ref.index for ref in hood]
+def neighborhood_keys(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> np.ndarray:
+    """The (P, L) node keys of `user`'s neighborhood along each of
+    `metapaths`: row p lists ``metapath_neighbors`` (the user first, then
+    the distinct nodes of its sampled walks), padded with -1."""
+    rows = [metapath_neighbors(corpus, user, mp) for mp in metapaths]
+    keys = np.full((len(rows), max(row.size for row in rows)), -1, dtype=np.int64)
+    for p, row in enumerate(rows):
+        keys[p, : row.size] = row
     return keys
 
 
 def neighborhood(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> np.ndarray:
-    """The (P, L) node keys of `user`'s neighborhood along each of
-    `metapaths`: row p lists ``metapath_neighbors`` (the user first, then
-    the distinct nodes of its sampled walks), padded with -1. `corpus`
-    keeps the array, by meta-path ids, from its first use until the
-    user's bags are next written."""
+    """The `neighborhood_keys` of `user` along `metapaths`, which `corpus`
+    keeps, by meta-path ids, from their first use until the user's bags
+    are next written."""
     kept = corpus.kept(user)
     key = tuple(mp.id for mp in metapaths)
     keys = kept.get(key)
     if keys is None:
-        keys = kept[key] = _keys(user, [metapath_neighbors(corpus, user, mp) for mp in metapaths])
+        keys = kept[key] = neighborhood_keys(corpus, user, metapaths)
     return keys
 
 
@@ -142,7 +139,7 @@ def _layout(keys: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray,
     distinct = ordered[first]
     rows = np.searchsorted(distinct, keys)
     bounds = [0, *np.searchsorted(distinct, _TYPE_STARTS).tolist(), distinct.size]
-    distinct &= 0xFFFFFFFF
+    distinct &= (1 << KEY_SHIFT) - 1
     ids = [distinct[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     return ids, rows, mask, rows[:, 0, 0]
 
@@ -223,14 +220,13 @@ def user_embedding(
     """Fused user embedding over all configured meta-paths, forward only.
 
     Deterministic given (params, corpus). The user's keys are computed
-    for this call and not kept: its callers embed a user once (a
-    `recommend` request walks a corpus of its own, and `PolicyScorer`
-    keeps the logits), so keys kept by their corpora would only hold
-    memory.
+    for this call and not kept: a `recommend` request walks a corpus of
+    its own and embeds its user once, so keys kept by its corpus would
+    only hold memory.
     """
     graph._check_node(user)
     tape = Tape(record=False)
-    hood = _keys(user, [metapath_neighbors(corpus, user, mp) for mp in params.metapaths])
     leaves = {k: tape.leaf(v) for k, v in params.tensors.items()}
+    hood = neighborhood_keys(corpus, user, params.metapaths)
     u, beta = build_user_embeddings(tape, leaves, params, [hood])
     return UserEmbedding(vector=u.value[0], beta=beta.value[0])

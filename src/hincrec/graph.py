@@ -10,8 +10,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from enum import Enum
-from operator import attrgetter
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 
 class NodeType(Enum):
@@ -65,41 +64,61 @@ class SchemaViolation(Exception):
     """Edge endpoints do not match the relation's declared type pair."""
 
 
-# bisect calls its key once per probe; attrgetter runs in C, a lambda would not
-_INDEX = attrgetter("index")
+# The type at the other end of each relation, by the type at one end.
+OTHER_END: dict[tuple[NodeType, Relation], NodeType] = {
+    (t, rel): other for rel, pair in ENDPOINTS.items() for t in pair for other in pair - {t}
+}
+
+# A node's key is its type's position in TYPE_ORDER, shifted left by
+# KEY_SHIFT bits, or-ed with its index: keys sort as `NodeRef.sort_key` does.
+KEY_SHIFT = 32
 
 
-def _locate(nbrs: Sequence[NodeRef], node: NodeRef) -> tuple[int, bool]:
-    """Where `node` sits, or would go, in an index-sorted neighbor list,
-    and whether it is there."""
-    i = bisect.bisect_left(nbrs, node.index, key=_INDEX)
-    return i, i < len(nbrs) and nbrs[i] == node
+def node_key(ref: NodeRef) -> int:
+    return TYPE_ORDER[ref.type] << KEY_SHIFT | ref.index
+
+
+# One NodeRef per (type, index), shared by every graph: neighbor lists
+# and walks hand out these objects rather than a new one per visit.
+_SHARED_REFS: dict[NodeType, list[NodeRef]] = {t: [] for t in NodeType}
+
+
+def shared_refs(node_type: NodeType) -> list[NodeRef]:
+    """The shared refs of `node_type`, by index, for every index that a
+    graph has added."""
+    return _SHARED_REFS[node_type]
 
 
 class HinGraph:
-    """Undirected typed graph stored as per-relation adjacency lists.
+    """Undirected typed graph stored as integer adjacency rows.
 
-    The lists, kept sorted by node index, are the only record of edges:
-    (a, b, kind) is `b` in the list of (a, kind) and `a` in that of
-    (b, kind). Edges carry no timestamp (click times live in the click
-    log), and `add_edge` refuses a repeated triple. The schema gives each
-    pair of node types one relation, so two nodes share at most one edge.
-    Concurrent reads are safe; mutation requires exclusive access.
+    For each node type and relation at that type, a dict maps a node's
+    index to the sorted indices of its neighbors under the relation: the
+    rows are the only record of edges, and (a, b, kind) is b's index in
+    a's row and a's index in b's. Edges carry no timestamp (click times
+    live in the click log), and `add_edge` refuses a repeated triple. The
+    schema gives each pair of node types one relation, so two nodes share
+    at most one edge. Concurrent reads are safe; mutation requires
+    exclusive access.
     """
 
     def __init__(self) -> None:
         self._counts: dict[NodeType, int] = {t: 0 for t in NodeType}
-        self._adj: dict[tuple[NodeRef, Relation], list[NodeRef]] = {}
+        self._rows: dict[tuple[NodeType, Relation], dict[int, list[int]]] = {
+            end: {} for end in OTHER_END
+        }
 
     # -- nodes ---------------------------------------------------------
 
     def add_node(self, node_type: NodeType) -> NodeRef:
-        idx = self._counts[node_type]
-        self._counts[node_type] = idx + 1
-        return NodeRef(node_type, idx)
+        return self.add_nodes(node_type, 1)[0]
 
     def add_nodes(self, node_type: NodeType, count: int) -> list[NodeRef]:
-        return [self.add_node(node_type) for _ in range(count)]
+        lo = self._counts[node_type]
+        hi = self._counts[node_type] = lo + count
+        refs = _SHARED_REFS[node_type]
+        refs.extend(NodeRef(node_type, i) for i in range(len(refs), hi))
+        return refs[lo:hi]
 
     def node_count(self, node_type: NodeType) -> int:
         return self._counts[node_type]
@@ -126,16 +145,18 @@ class HinGraph:
         """
         self._check_node(a)
         self._check_node(b)
-        if frozenset((a.type, b.type)) != ENDPOINTS[kind]:
+        if OTHER_END.get((a.type, kind)) is not b.type:
             raise SchemaViolation(
                 f"relation {kind.value!r} cannot connect "
                 f"{a.type.value} and {b.type.value}"
             )
-        if self.has_edge(a, b, kind):
+        row = self._rows[(a.type, kind)].setdefault(a.index, [])
+        i = bisect.bisect_left(row, b.index)
+        if i < len(row) and row[i] == b.index:
             return False
-        for node, other in ((a, b), (b, a)):
-            nbrs = self._adj.setdefault((node, kind), [])
-            nbrs.insert(_locate(nbrs, other)[0], other)
+        row.insert(i, b.index)
+        row = self._rows[(b.type, kind)].setdefault(b.index, [])
+        row.insert(bisect.bisect_left(row, a.index), a.index)
         return True
 
     def remove_edge(self, a: NodeRef, b: NodeRef, kind: Relation) -> bool:
@@ -143,36 +164,50 @@ class HinGraph:
         if not self.has_edge(a, b, kind):
             return False
         for node, other in ((a, b), (b, a)):
-            nbrs = self._adj[(node, kind)]
-            del nbrs[_locate(nbrs, other)[0]]
-            if not nbrs:
-                del self._adj[(node, kind)]
+            rows = self._rows[(node.type, kind)]
+            row = rows[node.index]
+            del row[bisect.bisect_left(row, other.index)]
+            if not row:
+                del rows[node.index]
         return True
 
     def has_edge(self, a: NodeRef, b: NodeRef, kind: Relation) -> bool:
-        return _locate(self._adj.get((a, kind), ()), b)[1]
+        if OTHER_END.get((a.type, kind)) is not b.type:
+            return False
+        row = self._rows[(a.type, kind)].get(a.index, ())
+        i = bisect.bisect_left(row, b.index)
+        return i < len(row) and row[i] == b.index
+
+    def rows(self, node_type: NodeType, kind: Relation) -> dict[int, list[int]]:
+        """The live adjacency rows of `node_type` under `kind`: a node's
+        index to its neighbors' sorted indices, for nodes that have any.
+        Callers must not mutate them."""
+        return self._rows[(node_type, kind)]
 
     def neighbors(self, node: NodeRef, kind: Relation) -> list[NodeRef]:
         """Distinct neighbors of `node` under `kind`, sorted by index."""
-        return list(self._adj.get((node, kind), ()))
-
-    def _neighbors_ref(self, node: NodeRef, kind: Relation) -> list[NodeRef]:
-        # Internal view without the defensive copy; callers must not mutate.
-        return self._adj.get((node, kind), [])
+        other = OTHER_END.get((node.type, kind))
+        if other is None:
+            return []
+        refs = _SHARED_REFS[other]
+        return [refs[i] for i in self._rows[(node.type, kind)].get(node.index, ())]
 
     def edge_count(self) -> int:
         # every edge is listed under both of its endpoints
-        return sum(map(len, self._adj.values())) // 2
+        return sum(len(row) for rows in self._rows.values() for row in rows.values()) // 2
 
     def edges(self) -> Iterator[tuple[NodeRef, NodeRef, Relation]]:
         """All edges as canonical (lo, hi, kind) triples, sorted by relation
         name, then `lo`, then `hi`. A relation fixes the type of `lo`, so
-        the lists of the `lo` ends, sorted, are read as stored."""
-        lows = [key for key, nbrs in self._adj.items() if key[0].sort_key() < nbrs[0].sort_key()]
-        lows.sort(key=lambda key: (key[1].value, key[0].index))
-        for lo, kind in lows:
-            for hi in self._adj[(lo, kind)]:
-                yield lo, hi, kind
+        the rows of the `lo` ends, sorted, are read as stored."""
+        for kind in sorted(Relation, key=lambda rel: rel.value):
+            lo_type, hi_type = sorted(ENDPOINTS[kind], key=TYPE_ORDER.get)
+            los, his = _SHARED_REFS[lo_type], _SHARED_REFS[hi_type]
+            rows = self._rows[(lo_type, kind)]
+            for i in sorted(rows):
+                lo = los[i]
+                for j in rows[i]:
+                    yield lo, his[j], kind
 
     # -- digest / copy -------------------------------------------------
 
@@ -192,5 +227,7 @@ class HinGraph:
     def copy(self) -> "HinGraph":
         g = HinGraph()
         g._counts = dict(self._counts)
-        g._adj = {k: list(v) for k, v in self._adj.items()}
+        g._rows = {
+            end: {i: list(row) for i, row in rows.items()} for end, rows in self._rows.items()
+        }
         return g

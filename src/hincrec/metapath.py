@@ -8,12 +8,22 @@ neighborhood used by the attention-based user embedding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
+from numpy.typing import ArrayLike
 
-from .graph import RELATION_FOR_PAIR, HinGraph, NodeRef, NodeType, Relation
+from .graph import (
+    KEY_SHIFT,
+    RELATION_FOR_PAIR,
+    TYPE_ORDER,
+    HinGraph,
+    NodeRef,
+    NodeType,
+    Relation,
+    node_key,
+    shared_refs,
+)
 
 # Dead-end walks are retried at most this many times the requested count.
 RETRY_FACTOR = 10
@@ -24,6 +34,8 @@ class MetaPath:
     id: int
     pattern: tuple[NodeType, ...]
     relations: tuple[Relation, ...] = field(init=False)
+    # the key of node index 0 of each pattern position's type
+    type_keys: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.pattern) < 3:
@@ -37,6 +49,9 @@ class MetaPath:
                 raise ValueError(f"no relation connects {a.value} and {b.value}")
             rels.append(RELATION_FOR_PAIR[pair])
         object.__setattr__(self, "relations", tuple(rels))
+        object.__setattr__(
+            self, "type_keys", tuple(TYPE_ORDER[t] << KEY_SHIFT for t in self.pattern)
+        )
 
     def __len__(self) -> int:
         return len(self.pattern)
@@ -66,14 +81,18 @@ def sample_instances(
     max_len: Optional[int] = None,
     *,
     rng: np.random.Generator,
-) -> list[list[NodeRef]]:
-    """Sample up to `n` walks from `user` conforming to `mp`.
+) -> np.ndarray:
+    """Sample up to `n` walks from `user` conforming to `mp`, as the
+    (walks, len(mp)) array of their node indices; column i holds nodes of
+    type ``mp.pattern[i]``.
 
     Each hop picks uniformly among the neighbors reachable under the next
-    relation in the pattern. Dead-end walks are discarded and retried up to
-    RETRY_FACTOR * n times; fewer than `n` instances come back when the
-    budget runs out. Duplicate walks are kept (the bag is a sampling
-    budget, not a set).
+    relation in the pattern, by one ``rng.integers(degree)`` per hop in
+    walk order. ``rng.integers(1)`` draws nothing from the generator, so
+    a hop from a node with one neighbor skips the call. Dead-end walks
+    are discarded and retried up to RETRY_FACTOR * n times; fewer than
+    `n` instances come back when the budget runs out. Duplicate walks are
+    kept (the bag is a sampling budget, not a set).
     """
     if user.type != NodeType.USER:
         raise ValueError(f"walks must start at a user, got {user!r}")
@@ -84,33 +103,42 @@ def sample_instances(
             f"max walk length {max_len} shorter than pattern length {len(mp.pattern)}"
         )
 
-    out: list[list[NodeRef]] = []
+    hops = [graph.rows(t, rel).get for t, rel in zip(mp.pattern, mp.relations)]
+    integers = rng.integers
+    out: list[list[int]] = []
     retries = 0
     budget = RETRY_FACTOR * n
     while len(out) < n:
-        walk = [user]
-        for rel in mp.relations:
-            nbrs = graph._neighbors_ref(walk[-1], rel)
+        node = user.index
+        walk = [node]
+        for hop in hops:
+            nbrs = hop(node)
             if not nbrs:
-                walk = []
                 break
-            walk.append(nbrs[int(rng.integers(len(nbrs)))])
-        if walk:
+            node = nbrs[integers(len(nbrs))] if len(nbrs) > 1 else nbrs[0]
+            walk.append(node)
+        if len(walk) == len(mp.pattern):
             out.append(walk)
         else:
             retries += 1
             if retries >= budget:
                 break
-    return out
+    walks = np.array(out, dtype=np.int64).reshape(len(out), len(mp.pattern))
+    walks.flags.writeable = False
+    return walks
 
 
 class PathCorpus:
     """Per-(user, meta-path) bags of sampled path instances, and what is
-    derived from a user's bags, kept until they are next written."""
+    derived from a user's bags, kept until they are next written.
+
+    A bag is the read-only (walks, pattern length) array of node indices
+    that `sample_instances` returns."""
 
     def __init__(self, metapaths: Iterable[MetaPath]):
         self.metapaths = list(metapaths)
-        self._bags: dict[tuple[NodeRef, int], list[list[NodeRef]]] = {}
+        self._by_id = {mp.id: mp for mp in self.metapaths}
+        self._bags: dict[tuple[NodeRef, int], np.ndarray] = {}
         self._kept: dict[NodeRef, dict] = {}
 
     @classmethod
@@ -145,25 +173,40 @@ class PathCorpus:
                 graph, user, mp, n=n, max_len=max_len, rng=rng
             )
 
-    def bag(self, user: NodeRef, mp_id: int) -> list[list[NodeRef]]:
+    def users(self) -> list[NodeRef]:
+        """The users that have bags, in the order they were first written."""
+        return list(dict.fromkeys(user for user, _ in self._bags))
+
+    def walks(self, user: NodeRef, mp_id: int) -> np.ndarray:
         return self._bags[(user, mp_id)]
+
+    def bag(self, user: NodeRef, mp_id: int) -> list[list[NodeRef]]:
+        """The walks of `walks(user, mp_id)` as lists of (shared) NodeRefs."""
+        walks = self._bags[(user, mp_id)]
+        refs = [shared_refs(t) for t in self._by_id[mp_id].pattern]
+        return [[r[i] for r, i in zip(refs, walk)] for walk in walks.tolist()]
 
     def kept(self, user: NodeRef) -> dict:
         """The values derived from `user`'s bags, by their key; emptied
         whenever `resample_user` or `restore_user` writes the bags."""
         return self._kept.setdefault(user, {})
 
-    def snapshot_user(self, user: NodeRef) -> dict[int, list[list[NodeRef]]]:
+    def snapshot_user(self, user: NodeRef) -> dict[int, np.ndarray]:
         return {
             mp.id: self._bags[(user, mp.id)]
             for mp in self.metapaths
             if (user, mp.id) in self._bags
         }
 
-    def restore_user(self, user: NodeRef, saved: dict[int, list[list[NodeRef]]]) -> None:
+    def restore_user(self, user: NodeRef, saved: Mapping[int, ArrayLike]) -> None:
+        """Write `user`'s bags from `saved`, by meta-path id: arrays as
+        `snapshot_user` returns them, or anything that numpy reads as
+        one (an empty list is an empty bag)."""
         self._kept.pop(user, None)
         for mp_id, bag in saved.items():
-            self._bags[(user, mp_id)] = bag
+            walks = np.array(bag, dtype=np.int64).reshape(-1, len(self._by_id[mp_id]))
+            walks.flags.writeable = False
+            self._bags[(user, mp_id)] = walks
 
     # -- text serialization ---------------------------------------------
     # One line per instance: user_id<TAB>mp_id<TAB>node,node,...
@@ -172,17 +215,20 @@ class PathCorpus:
         for (user, mp_id) in sorted(
             self._bags, key=lambda k: (k[0].sort_key(), k[1])
         ):
-            for inst in self._bags[(user, mp_id)]:
+            for inst in self.bag(user, mp_id):
                 nodes = ",".join(name_of(ref) for ref in inst)
                 fh.write(f"{name_of(user)}\t{mp_id}\t{nodes}\n")
 
 
-def metapath_neighbors(corpus: PathCorpus, user: NodeRef, mp: MetaPath) -> list[NodeRef]:
-    """The user's meta-path-based neighborhood: the user first, then the
-    distinct nodes of every walk in the bag, in first-seen order.
+def metapath_neighbors(corpus: PathCorpus, user: NodeRef, mp: MetaPath) -> np.ndarray:
+    """The user's meta-path-based neighborhood, as the node keys (see
+    `graph.node_key`) of the user first, then the distinct nodes of every
+    walk in the bag, in first-seen order.
 
     This is the set of nodes that the sampled instances of `mp` reach
     (HAN-style), not a single walk, so it is a deterministic function of
     the corpus. An empty bag falls back to the user alone.
     """
-    return list(dict.fromkeys(chain((user,), *corpus.bag(user, mp.id))))
+    walks = corpus.walks(user, mp.id)
+    keys = [node_key(user), *(walks + mp.type_keys).ravel().tolist()]
+    return np.array(list(dict.fromkeys(keys)), dtype=np.int64)

@@ -14,7 +14,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tape
-from .embedding import user_embedding
+# user_embedding is not called here; the benchmark's tracer hooks it by
+# this module's name.
+from .embedding import build_user_embeddings, neighborhood_keys, user_embedding  # noqa: F401
 from .graph import HinGraph, NodeRef
 from .metapath import PathCorpus
 from .model import ModelParams
@@ -67,14 +69,49 @@ class EvalReport:
         return "\n".join(lines)
 
 
-# -- per-metric aggregation ------------------------------------------------
+# -- ranks and per-metric aggregation --------------------------------------
+
+
+def _rank_counts(
+    candidates: Sequence[np.ndarray], scores: Sequence[np.ndarray], positives: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per trial: the positive's 1-based rank under descending score, ties
+    toward the smaller concept index, and the numbers of negatives scored
+    below it and tied with it.
+
+    One pass over the (T, W) matrices of the trials' candidates and
+    scores, padded with -1 and NaN: a NaN compares false, so a pad never
+    counts. The rank is 1 + #(s > s_pos) + #(s == s_pos and c < pos).
+    """
+    lengths = np.fromiter(map(len, candidates), dtype=np.int64, count=len(candidates))
+    filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+    cands = np.full(filled.shape, -1, dtype=np.int64)
+    cands[filled] = np.concatenate(candidates)
+    s = np.full(filled.shape, np.nan)
+    s[filled] = np.concatenate(scores)
+    pos = np.asarray(positives, dtype=np.int64)[:, None]
+    is_pos = cands == pos
+    s_pos = s[np.arange(len(s)), is_pos.argmax(axis=1)][:, None]
+    tied = (s == s_pos) & ~is_pos
+    above = np.count_nonzero(s > s_pos, axis=1) + np.count_nonzero(tied & (cands < pos), axis=1)
+    return 1 + above, np.count_nonzero(s < s_pos, axis=1), np.count_nonzero(tied, axis=1)
+
+
+def _ranks(trials: Sequence[RankedTrial]) -> np.ndarray:
+    return np.fromiter((t.rank for t in trials), dtype=float, count=len(trials))
+
+
+def _mean(terms: np.ndarray, n: int) -> float:
+    """The sum of per-trial `terms` over `n` trials. The terms are added
+    one at a time in trial order, as a loop over the trials adds them;
+    ``np.sum`` adds pairwise, which rounds differently."""
+    return float(np.cumsum(terms)[-1]) / n if terms.size else 0.0
 
 
 def hit_ratio(trials: Sequence[RankedTrial], k: int) -> float:
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = sum(1 for t in trials if t.rank <= k)
-    return hits / len(trials)
+    return int(np.count_nonzero(_ranks(trials) <= k)) / len(trials)
 
 
 def ndcg(trials: Sequence[RankedTrial], k: int) -> float:
@@ -82,27 +119,22 @@ def ndcg(trials: Sequence[RankedTrial], k: int) -> float:
     the cutoff, 0 outside (the ideal ranking normalizes to 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    total = sum(1.0 / np.log2(1.0 + t.rank) if t.rank <= k else 0.0 for t in trials)
-    return total / len(trials)
+    r = _ranks(trials)
+    return _mean(1.0 / np.log2(1.0 + r[r <= k]), len(trials))
 
 
 def mrr(trials: Sequence[RankedTrial]) -> float:
     if not trials:
         raise ValueError("no trials")
-    return sum(1.0 / t.rank for t in trials) / len(trials)
+    return _mean(1.0 / _ranks(trials), len(trials))
 
 
 def auc(trials: Sequence[RankedTrial]) -> float:
     """Mean per-trial (negatives below positive + half of ties) fraction."""
-    total = 0.0
-    for t in trials:
-        pos_pos = int(np.flatnonzero(t.candidates == t.positive)[0])
-        pos_score = t.scores[pos_pos]
-        neg_scores = np.delete(t.scores, pos_pos)
-        below = np.count_nonzero(neg_scores < pos_score)
-        ties = np.count_nonzero(neg_scores == pos_score)
-        total += (below + 0.5 * ties) / neg_scores.size
-    return total / len(trials)
+    cands = [t.candidates for t in trials]
+    _, below, tied = _rank_counts(cands, [t.scores for t in trials], [t.positive for t in trials])
+    negatives = np.fromiter(map(len, cands), dtype=float, count=len(cands)) - 1
+    return _mean((below + 0.5 * tied) / negatives, len(trials))
 
 
 # -- trial construction and scoring ------------------------------------------
@@ -110,9 +142,7 @@ def auc(trials: Sequence[RankedTrial]) -> float:
 
 def rank_of_positive(candidates: np.ndarray, scores: np.ndarray, positive: int) -> int:
     """1-based rank under descending score, ties toward smaller concept index."""
-    order = np.lexsort((candidates, -scores))
-    ranked = candidates[order]
-    return int(np.flatnonzero(ranked == positive)[0]) + 1
+    return int(_rank_counts([candidates], [np.asarray(scores, dtype=float)], [positive])[0][0])
 
 
 def build_trials(
@@ -148,19 +178,24 @@ def build_trials(
 
 
 def score_trials(scorer: Scorer, trials: Sequence[TrialSpec]) -> list[RankedTrial]:
-    ranked = []
-    for spec in trials:
-        scores = np.asarray(scorer(spec.user, spec.candidates), dtype=float)
-        ranked.append(
-            RankedTrial(
-                user=spec.user,
-                positive=spec.positive,
-                candidates=spec.candidates,
-                scores=scores,
-                rank=rank_of_positive(spec.candidates, scores, spec.positive),
-            )
+    """Scores each trial's candidates, one scorer call per trial in trial
+    order, then ranks every positive in one pass."""
+    if not trials:
+        return []
+    scores = [np.asarray(scorer(spec.user, spec.candidates), dtype=float) for spec in trials]
+    ranks, _, _ = _rank_counts(
+        [spec.candidates for spec in trials], scores, [spec.positive for spec in trials]
+    )
+    return [
+        RankedTrial(
+            user=spec.user,
+            positive=spec.positive,
+            candidates=spec.candidates,
+            scores=spec_scores,
+            rank=int(rank),
         )
-    return ranked
+        for spec, spec_scores, rank in zip(trials, scores, ranks)
+    ]
 
 
 def aggregate(trials: Sequence[RankedTrial]) -> EvalReport:
@@ -203,12 +238,17 @@ def evaluate(
 class PolicyScorer:
     """Greedy (epsilon = 0) concept scores from a trained model.
 
-    User embeddings are computed on the supplied training graph/corpus
-    once per user and cached; candidate scores are the policy logits.
-    Each user's embedding attends over the union of its sampled walks, so
-    the cached logits do not depend on the order in which users are
-    scored.
+    Candidate scores are the policy logits of the user's embedding on the
+    supplied training graph and corpus. The first call embeds every user
+    of the corpus, CHUNK users per `build_user_embeddings` pass on one
+    non-recording tape, and caches their logits; a user that the corpus
+    did not hold then is embedded alone when asked for. Each user's
+    embedding attends over the union of its own sampled walks, so the
+    logits do not depend on which users share a chunk, beyond float
+    summation order.
     """
+
+    CHUNK = 64
 
     def __init__(self, model: ModelParams, graph: HinGraph, corpus: PathCorpus):
         self.model = model
@@ -216,15 +256,23 @@ class PolicyScorer:
         self.corpus = corpus
         self._cache: dict[NodeRef, np.ndarray] = {}
 
-    def logits(self, user: NodeRef) -> np.ndarray:
-        cached = self._cache.get(user)
-        if cached is not None:
-            return cached
-        emb = user_embedding(self.model.embed, self.graph, self.corpus, user)
+    def _embed(self, users: list[NodeRef]) -> None:
+        params = self.model.embed
         tape = Tape(record=False)
-        logits = policy_logits(tape, self.model.leaves(tape), tape.leaf(emb.vector)).value
-        self._cache[user] = logits
-        return logits
+        leaves = self.model.leaves(tape)
+        for lo in range(0, len(users), self.CHUNK):
+            chunk = users[lo : lo + self.CHUNK]
+            hoods = [neighborhood_keys(self.corpus, user, params.metapaths) for user in chunk]
+            u, _ = build_user_embeddings(tape, leaves, params, hoods)
+            self._cache.update(zip(chunk, policy_logits(tape, leaves, u).value))
+
+    def logits(self, user: NodeRef) -> np.ndarray:
+        if not self._cache:
+            self._embed(self.corpus.users())
+        if user not in self._cache:
+            self.graph._check_node(user)
+            self._embed([user])
+        return self._cache[user]
 
     def __call__(self, user: NodeRef, candidates: np.ndarray) -> np.ndarray:
         return self.logits(user)[candidates]

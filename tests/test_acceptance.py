@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from oracles import brute_metrics
-from unfused import node_attention
+from unfused import neighbor_refs, node_attention
 
 from hincrec.autodiff import Tape, grad_check
 from hincrec.cli import main as cli_main
@@ -236,7 +236,7 @@ def test_criterion_2_normalization():
                 params.tensors[key] *= float(1.0 + 4.0 * draw_rng.random())
             user = NodeRef(U, int(draw_rng.integers(10)))
             for mp in mps:
-                nbrs = metapath_neighbors(corpus, user, mp)
+                nbrs = neighbor_refs(corpus, user, mp)
                 for head in range(params.cfg.heads):
                     alpha = node_attention(params, user, nbrs, mp, head)
                     if abs(alpha.sum() - 1.0) > 1e-9 or np.any(alpha < 0):

@@ -6,6 +6,7 @@ import pytest
 import unfused
 from unfused import node_aggregate, node_attention, path_attention, project
 
+from hincrec import metrics
 from hincrec.autodiff import Tape, grad_check
 from hincrec.data import holdout_targets, temporal_split
 from hincrec.embedding import (
@@ -17,7 +18,7 @@ from hincrec.embedding import (
     user_embedding,
 )
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
-from hincrec.metapath import PathCorpus, builtin_metapaths, metapath_neighbors
+from hincrec.metapath import PathCorpus, builtin_metapaths
 from hincrec.metrics import PolicyScorer
 from hincrec.model import init_model
 from hincrec.policy import ActionSet, build_action_distribution, policy_logits
@@ -97,8 +98,7 @@ class TestNodeAttention:
 class TestNodeAggregate:
     def _corpus_self_only(self, user):
         corpus = PathCorpus(builtin_metapaths())
-        for mp in corpus.metapaths:
-            corpus._bags[(user, mp.id)] = []
+        corpus.restore_user(user, {mp.id: [] for mp in corpus.metapaths})
         return corpus
 
     def test_self_only_neighborhood(self):
@@ -380,20 +380,62 @@ class TestFusedMatchesUnfused:
 
 
 class TestPolicyScorerLogits:
-    def test_equal_to_tape_logits(self, acceptance_world):
-        env, graph = acceptance_world
+    @staticmethod
+    def scored_model(graph):
         model = init_model(graph, builtin_metapaths(), EmbedConfig(),
                            rng=np.random.default_rng(2))
         rng = np.random.default_rng(5)
         for arr in model.policy.tensors.values():
             arr[...] = rng.normal(size=arr.shape)
-        scorer = PolicyScorer(model, graph, env.corpus)
-        for user in env.users[:20]:
-            tape = Tape()
-            leaves = model.leaves(tape)
-            u, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
-            want = policy_logits(tape, leaves, u).value
-            assert np.array_equal(scorer.logits(user), want)
+        return model
+
+    @staticmethod
+    def per_user_logits(model, graph, corpus, user):
+        emb = user_embedding(model.embed, graph, corpus, user)
+        tape = Tape(record=False)
+        return policy_logits(tape, model.leaves(tape), tape.leaf(emb.vector)).value
+
+    @pytest.mark.parametrize("n_users", [1, 63, 64, 65])
+    @pytest.mark.parametrize("first", [0, -1])
+    def test_batched_logits_match_per_user(self, acceptance_world, monkeypatch, n_users, first):
+        # the corpus holds the first n users' bags, which include the
+        # emptied ones; the first call embeds all of them in chunks of 64
+        env, graph = acceptance_world
+        model = self.scored_model(graph)
+        users = env.users[:n_users]
+        corpus = PathCorpus(env.corpus.metapaths)
+        for user in users:
+            corpus.restore_user(user, env.corpus.snapshot_user(user))
+        batches = []
+        batched = metrics.build_user_embeddings
+
+        def counting(tape, leaves, params, hoods):
+            batches.append(len(hoods))
+            return batched(tape, leaves, params, hoods)
+
+        monkeypatch.setattr(metrics, "build_user_embeddings", counting)
+        scorer = PolicyScorer(model, graph, corpus)
+        asked = [users[first]] + [u for u in users if u != users[first]]
+        got = {user: scorer.logits(user) for user in asked}
+        assert batches == [64] * (n_users // 64) + [n_users % 64] * (n_users % 64 > 0)
+        for user in users:
+            want = self.per_user_logits(model, graph, corpus, user)
+            assert np.max(np.abs(got[user] - want)) <= 1e-12, user
+            assert scorer.logits(user) is got[user]
+
+    def test_users_outside_the_graph_or_corpus_raise_as_per_user(self, acceptance_world):
+        env, graph = acceptance_world
+        model = self.scored_model(graph)
+        corpus = PathCorpus(env.corpus.metapaths)
+        corpus.restore_user(env.users[0], env.corpus.snapshot_user(env.users[0]))
+        scorer = PolicyScorer(model, graph, corpus)
+        for user in (NodeRef(U, graph.node_count(U)), env.users[1]):
+            with pytest.raises((ValueError, KeyError)) as per_user:
+                self.per_user_logits(model, graph, corpus, user)
+            with pytest.raises(per_user.type) as batched:
+                scorer.logits(user)
+            assert str(batched.value) == str(per_user.value)
+        assert list(scorer._cache) == [env.users[0]]
 
 
 # -- the batched builder ---------------------------------------------------------
@@ -472,7 +514,7 @@ class TestBatchedEmbedding:
         users = [user for user, _ in pairs]
         assert len(set(users)) < len(users)
         per_user = [
-            {ref for mp in params.metapaths for ref in metapath_neighbors(env.corpus, user, mp)}
+            {ref for mp in params.metapaths for ref in unfused.neighbor_refs(env.corpus, user, mp)}
             for user in set(users)
         ]
         nodes = set().union(*per_user)

@@ -1,10 +1,14 @@
 """tools/forward_pairs.py, run on this tree against itself."""
 
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-spec = importlib.util.spec_from_file_location("forward_pairs", ROOT / "tools" / "forward_pairs.py")
+TOOL = ROOT / "tools" / "forward_pairs.py"
+spec = importlib.util.spec_from_file_location("forward_pairs", TOOL)
 forward_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(forward_pairs)
 
@@ -17,5 +21,53 @@ def test_both_sides_run_every_measurement(capsys):
     assert lines[0] == "world acceptance, 2 pairs of 2 users each"
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:]}
     assert list(rows) == list(forward_pairs.MEASUREMENTS)
+    assert {"walks", "evaluate"} <= set(rows)
     for parent_us, change_us, ratio, pair_ratio in rows.values():
         assert parent_us > 0 and change_us > 0 and ratio > 0 and pair_ratio > 0
+
+
+def test_walks_and_evaluate_run_what_a_request_and_an_eval_run(monkeypatch):
+    side = forward_pairs.Side(forward_pairs.load(ROOT / "src", "hincrec_side"),
+                              "acceptance", 0, 3)
+    pkg = side.pkg
+    built, reports = [], []
+    build, aggregate = pkg.metapath.PathCorpus.build.__func__, pkg.metrics.aggregate
+
+    def recording_build(cls, graph, users, *args, **kwargs):
+        built.append((graph, list(users)))
+        return build(cls, graph, users, *args, **kwargs)
+
+    def recording_aggregate(ranked):
+        reports.append(aggregate(ranked))
+        return reports[-1]
+
+    monkeypatch.setattr(pkg.metapath.PathCorpus, "build", classmethod(recording_build))
+    monkeypatch.setattr(pkg.metrics, "aggregate", recording_aggregate)
+    assert side.walks() > 0
+    assert built == [(side.env.graph, [user]) for user in side.users]
+    built.clear()
+    assert side.evaluate() > 0
+    assert built == [(side.split.train.graph, side.test_users)]
+    (report,) = reports
+    assert report.n_trials == len(side.split.test_positives) > 0
+
+
+def test_blas_is_pinned_to_one_thread_before_numpy_loads():
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    # records the setting at the tool's first `import numpy`
+    script = (
+        "import builtins, importlib.util, os, sys\n"
+        "assert 'numpy' not in sys.modules\n"
+        "seen, real_import = [], builtins.__import__\n"
+        "def recording(name, *args, **kwargs):\n"
+        "    if name == 'numpy' and not seen:\n"
+        "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "    return real_import(name, *args, **kwargs)\n"
+        "builtins.__import__ = recording\n"
+        f"spec = importlib.util.spec_from_file_location('fp', {str(TOOL)!r})\n"
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec))\n"
+        "print(seen[0])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "1"

@@ -3,7 +3,8 @@ import io
 import numpy as np
 import pytest
 
-from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
+import unfused
+from hincrec.graph import ENDPOINTS, TYPE_ORDER, HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import (
     MetaPath,
     PathCorpus,
@@ -11,8 +12,20 @@ from hincrec.metapath import (
     metapath_neighbors,
     sample_instances,
 )
+from unfused import keys_of
 
 U, C, V, K = NodeType.USER, NodeType.COURSE, NodeType.VIDEO, NodeType.CONCEPT
+
+
+def walk_refs(walks, mp):
+    """The (walks, len(mp)) index array `walks` as lists of NodeRefs."""
+    return [[NodeRef(t, i) for t, i in zip(mp.pattern, walk)] for walk in walks.tolist()]
+
+
+def sample_refs(g, user, mp, n, rng):
+    walks = sample_instances(g, user, mp, n=n, rng=rng)
+    assert walks.shape == (len(walks), len(mp.pattern)) and walks.dtype == np.int64
+    return walk_refs(walks, mp)
 
 
 class TestBuiltins:
@@ -66,7 +79,7 @@ class TestSampling:
     def test_unique_walk(self, line_graph):
         g, users, k0 = line_graph
         mp1 = builtin_metapaths()[0]
-        out = sample_instances(g, users[0], mp1, n=5, rng=np.random.default_rng(0))
+        out = sample_refs(g, users[0], mp1, n=5, rng=np.random.default_rng(0))
         assert len(out) == 5  # duplicates are kept, the bag is a budget
         for inst in out:
             assert inst[0] == users[0]
@@ -77,13 +90,13 @@ class TestSampling:
         g = HinGraph()
         u = g.add_node(U)
         for mp in builtin_metapaths():
-            assert sample_instances(g, u, mp, n=3, rng=np.random.default_rng(1)) == []
+            assert sample_refs(g, u, mp, n=3, rng=np.random.default_rng(1)) == []
 
     def test_first_hop_uniform(self, fan_graph):
         # oracle: binomial(100, 0.5); 3 sigma = 3*sqrt(100*.25) = 15
         g, users, concepts = fan_graph
         mp1 = builtin_metapaths()[0]
-        out = sample_instances(g, users[0], mp1, n=100, rng=np.random.default_rng(7))
+        out = sample_refs(g, users[0], mp1, n=100, rng=np.random.default_rng(7))
         assert len(out) == 100
         k0_count = sum(1 for inst in out if inst[1] == concepts[0])
         assert abs(k0_count - 50) <= 15
@@ -91,7 +104,7 @@ class TestSampling:
     def test_walks_type_and_edge_check(self, fan_graph):
         g, users, _ = fan_graph
         for mp in builtin_metapaths():
-            for inst in sample_instances(g, users[0], mp, n=20, rng=np.random.default_rng(3)):
+            for inst in sample_refs(g, users[0], mp, n=20, rng=np.random.default_rng(3)):
                 assert len(inst) == len(mp.pattern)
                 for ref, want in zip(inst, mp.pattern):
                     assert ref.type == want
@@ -101,8 +114,8 @@ class TestSampling:
     def test_determinism(self, fan_graph):
         g, users, _ = fan_graph
         mp2 = builtin_metapaths()[1]
-        a = sample_instances(g, users[0], mp2, n=10, rng=np.random.default_rng(42))
-        b = sample_instances(g, users[0], mp2, n=10, rng=np.random.default_rng(42))
+        a = sample_refs(g, users[0], mp2, n=10, rng=np.random.default_rng(42))
+        b = sample_refs(g, users[0], mp2, n=10, rng=np.random.default_rng(42))
         assert a == b
 
     def test_bound_respected(self, fan_graph):
@@ -133,26 +146,26 @@ class TestNeighbors:
         g, users, k0 = line_graph
         mp1 = builtin_metapaths()[0]
         corpus = PathCorpus(builtin_metapaths())
-        corpus._bags[(users[0], 1)] = [[users[0], k0, users[1]]]
+        corpus.restore_user(users[0], {1: [[0, 0, 1]]})
         nbrs = metapath_neighbors(corpus, users[0], mp1)
-        assert nbrs == [users[0], k0, users[1]]
+        assert nbrs.tolist() == keys_of([users[0], k0, users[1]]).tolist()
 
     def test_empty_bag_self_only(self):
         corpus = PathCorpus(builtin_metapaths())
         u0 = NodeRef(U, 0)
-        corpus._bags[(u0, 1)] = []
-        assert metapath_neighbors(corpus, u0, builtin_metapaths()[0]) == [u0]
+        corpus.restore_user(u0, {1: []})
+        assert metapath_neighbors(corpus, u0, builtin_metapaths()[0]).tolist() == [0]
 
     def test_repeated_calls_agree(self, fan_graph):
         g, users, _ = fan_graph
         mps = builtin_metapaths()
         corpus = PathCorpus.build(g, users, mps, n=3, rng=np.random.default_rng(5))
         seq_a = [
-            metapath_neighbors(corpus, users[0], mps[0])
+            metapath_neighbors(corpus, users[0], mps[0]).tolist()
             for _ in range(6)
         ]
         seq_b = [
-            metapath_neighbors(corpus, users[0], mps[0])
+            metapath_neighbors(corpus, users[0], mps[0]).tolist()
             for _ in range(6)
         ]
         assert seq_a == seq_b
@@ -162,8 +175,8 @@ class TestNeighbors:
         mps = builtin_metapaths()
         corpus = PathCorpus.build(g, users, mps, n=8, rng=np.random.default_rng(2))
         for mp in mps:
-            nbrs = metapath_neighbors(corpus, users[0], mp)
-            assert nbrs[0] == users[0]
+            nbrs = metapath_neighbors(corpus, users[0], mp).tolist()
+            assert nbrs[0] == keys_of([users[0]])[0]
             assert len(set(nbrs)) == len(nbrs)
 
     def test_union_of_all_walks_in_first_seen_order(self, fan_graph):
@@ -174,9 +187,10 @@ class TestNeighbors:
         k0, k1 = concepts
         mp1 = builtin_metapaths()[0]
         corpus = PathCorpus(builtin_metapaths())
-        corpus._bags[(u0, 1)] = [[u0, k1, u1], [u0, k0, u0], [u0, k0, u1]]
+        corpus.restore_user(u0, {1: [[0, 1, 1], [0, 0, 0], [0, 0, 1]]})
+        assert corpus.bag(u0, 1) == [[u0, k1, u1], [u0, k0, u0], [u0, k0, u1]]
         want = [u0, k1, u1, k0]
-        assert metapath_neighbors(corpus, u0, mp1) == want
+        assert metapath_neighbors(corpus, u0, mp1).tolist() == keys_of(want).tolist()
 
 
 class TestCorpus:
@@ -193,7 +207,9 @@ class TestCorpus:
         mps = builtin_metapaths()
         a = PathCorpus.build(g, users, mps, n=6, rng=np.random.default_rng(3))
         b = PathCorpus.build(g, users, mps, n=6, rng=np.random.default_rng(3))
-        assert a._bags == b._bags
+        assert a._bags.keys() == b._bags.keys()
+        for key, walks in a._bags.items():
+            assert np.array_equal(walks, b._bags[key])
 
     def test_snapshot_restore(self, fan_graph):
         g, users, _ = fan_graph
@@ -202,7 +218,10 @@ class TestCorpus:
         saved = corpus.snapshot_user(users[0])
         corpus.resample_user(g, users[0], n=4, rng=np.random.default_rng(99))
         corpus.restore_user(users[0], saved)
-        assert corpus.snapshot_user(users[0]) == saved
+        restored = corpus.snapshot_user(users[0])
+        assert restored.keys() == saved.keys()
+        for mp_id, walks in saved.items():
+            assert np.array_equal(restored[mp_id], walks)
 
     def test_text_roundtrip(self, fan_graph):
         g, users, _ = fan_graph
@@ -226,4 +245,97 @@ class TestCorpus:
             user, mp_id, nodes = line.split("\t")
             walk = [ref_of(tok) for tok in nodes.split(",")]
             parsed.setdefault((ref_of(user), int(mp_id)), []).append(walk)
-        assert parsed == {k: v for k, v in corpus._bags.items() if v}
+        by_id = {mp.id: mp for mp in mps}
+        assert parsed == {
+            (user, mp_id): walk_refs(walks, by_id[mp_id])
+            for (user, mp_id), walks in corpus._bags.items()
+            if len(walks)
+        }
+
+
+class TestAgainstReferenceSampler:
+    """The sampler over integer rows draws the walks of the NodeRef-list
+    sampler of tests/unfused.py and leaves the generator where it does."""
+
+    @staticmethod
+    def random_graph(rng):
+        """A few nodes per type, each relation wired at its own density:
+        sparse ones leave dead ends and rows of one neighbor."""
+        g = HinGraph()
+        counts = {t: int(rng.integers(1, 5)) for t in NodeType}
+        for t, n in counts.items():
+            g.add_nodes(t, n)
+        for rel, pair in ENDPOINTS.items():
+            a, b = sorted(pair, key=TYPE_ORDER.get)
+            density = 0.8 * rng.random()
+            for i in range(counts[a]):
+                for j in range(counts[b]):
+                    if rng.random() < density:
+                        g.add_edge(NodeRef(a, i), NodeRef(b, j), rel)
+        return g, counts
+
+    def test_same_walks_and_generator_state(self, monkeypatch):
+        seen = {
+            "degree one": 0,
+            "dead end": 0,
+            "dead end, then a full bag": 0,
+            "exhausted": 0,
+            "exhausted after draws": 0,
+        }
+        for seed in range(40):
+            gen = np.random.default_rng([seed, 11])
+            g, counts = self.random_graph(gen)
+            dead = []
+            neighbors = g.neighbors
+
+            def counting(node, kind):
+                nbrs = neighbors(node, kind)
+                dead.append(not nbrs)
+                return nbrs
+
+            monkeypatch.setattr(g, "neighbors", counting)
+            for mp in builtin_metapaths():
+                for u in range(counts[U]):
+                    user, n = NodeRef(U, u), int(gen.integers(1, 6))
+                    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                    dead.clear()
+                    want = unfused.sample_instances(g, user, mp, n=n, rng=theirs)
+                    walks = sample_instances(g, user, mp, n=n, rng=ours)
+                    assert walk_refs(walks, mp) == want, (seed, mp.id, u)
+                    drew = theirs.bit_generator.state != np.random.default_rng(seed).bit_generator.state
+                    # the state holds a buffered half of a 64-bit draw, which a
+                    # bounded draw below 2**32 reads first
+                    assert ours.bit_generator.state == theirs.bit_generator.state
+                    assert ours.integers(7) == theirs.integers(7), (seed, mp.id, u)
+                    seen["degree one"] += sum(
+                        len(neighbors(a, rel)) == 1
+                        for walk in want
+                        for a, rel in zip(walk, mp.relations)
+                    )
+                    seen["dead end"] += any(dead)
+                    seen["dead end, then a full bag"] += any(dead) and len(want) == n
+                    seen["exhausted"] += len(want) < n
+                    seen["exhausted after draws"] += len(want) < n and drew
+        assert all(seen.values()), seen
+
+    def test_degree_one_hop_draws_nothing(self, line_graph):
+        # U0's only MP1 first hop is K0; the second hop picks U0 or U1
+        g, users, k0 = line_graph
+        mp1 = builtin_metapaths()[0]
+        ours, draws = np.random.default_rng(4), np.random.default_rng(4)
+        walks = sample_instances(g, users[0], mp1, n=3, rng=ours)
+        assert walks[:, 1].tolist() == [k0.index] * 3
+        assert walks[:, 2].tolist() == [int(draws.integers(2)) for _ in range(3)]
+        assert ours.bit_generator.state == draws.bit_generator.state
+
+
+def test_bags_and_neighbor_lists_share_one_ref_per_node(fan_graph):
+    g, users, concepts = fan_graph
+    copy = g.copy()
+    assert all(a is b for a, b in zip(copy.neighbors(users[0], Relation.CLICK), concepts))
+    corpus = PathCorpus.build(copy, users, builtin_metapaths(), n=4, rng=np.random.default_rng(0))
+    nodes = {id(ref) for ref in (*users, *concepts)}
+    for user in users:
+        for mp in corpus.metapaths:
+            for walk in corpus.bag(user, mp.id):
+                assert {id(ref) for ref in walk} <= nodes

@@ -1,4 +1,6 @@
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,3 +294,68 @@ class TestProtocol:
             build_trials(positives, {}, 10, n_negatives, np.random.default_rng(0))
         with pytest.raises(ValueError, match="n_negatives"):
             evaluate(RandomScorer(0), positives, {}, 10, n_negatives=n_negatives, seed=0)
+
+
+# -- the vectorised ranks against bench/checks.brute_report --------------------
+
+_spec = importlib.util.spec_from_file_location(
+    "bench_checks", Path(__file__).resolve().parents[1] / "bench" / "checks.py"
+)
+bench_checks = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_checks)
+
+
+class TestVectorisedRanks:
+    @staticmethod
+    def capped_trials():
+        """Trials over 14 concepts whose users clicked 2 to 13 of them, so
+        the never-clicked pools cap the 99 negatives at mixed lengths."""
+        gen = np.random.default_rng(21)
+        users = [NodeRef(U, i) for i in range(60)]
+        clicked = {
+            u: set(gen.choice(14, size=int(gen.integers(2, 14)), replace=False).tolist())
+            for u in users
+        }
+        positives = [(u, int(gen.integers(14))) for u in users]
+        trials = build_trials(positives, clicked, 14, 99, np.random.default_rng(3))
+        assert len({t.candidates.size for t in trials}) >= 8
+        return trials
+
+    @pytest.mark.parametrize(
+        "scorer",
+        [
+            lambda user, candidates: np.ones(candidates.size),
+            PopularityScorer(np.random.default_rng(4).integers(0, 3, 14)),
+            RandomScorer(7),
+        ],
+        ids=["constant", "tied popularity", "random"],
+    )
+    def test_match_brute_force(self, scorer):
+        ranked = score_trials(scorer, self.capped_trials())
+        ranks, values = bench_checks.brute_report(ranked)
+        assert [t.rank for t in ranked] == ranks
+        assert [
+            rank_of_positive(t.candidates, t.scores, t.positive) for t in ranked
+        ] == ranks
+        report = aggregate(ranked)
+        for name, got, want in zip(report._COLUMNS, report.values(), values):
+            assert abs(got - want) <= 1e-12, name
+        assert abs(auc(ranked) - values[-1]) <= 1e-12
+
+    def test_random_scorer_called_once_per_trial_in_order(self):
+        trials = self.capped_trials()
+        calls = []
+        random = RandomScorer(7)
+
+        def recording(user, candidates):
+            calls.append((user, candidates))
+            return random(user, candidates)
+
+        ranked = score_trials(recording, trials)
+        assert [(u, id(c)) for u, c in calls] == [(t.user, id(t.candidates)) for t in trials]
+        stream = np.random.default_rng(7)
+        for t in ranked:
+            assert np.array_equal(t.scores, stream.random(t.candidates.size))
+
+    def test_no_trials_score_to_none(self):
+        assert score_trials(RandomScorer(0), []) == []

@@ -77,7 +77,7 @@ class TestGenerator:
         mp1 = builtin_metapaths()[0]
         user = ds.clicks[0].user
         walks = sample_instances(g, user, mp1, n=10, rng=np.random.default_rng(0))
-        assert walks  # shared pool guarantees click co-occurrence
+        assert len(walks)  # shared pool guarantees click co-occurrence
 
     def test_schema_complete(self):
         cfg = SynthConfig(users=30, concepts=10, clusters=2, seed=3)
@@ -91,7 +91,7 @@ class TestGenerator:
         rng = np.random.default_rng(2)
         user = ds.clicks[0].user
         for mp in builtin_metapaths():
-            assert sample_instances(ds.graph, user, mp, n=5, rng=rng), mp.id
+            assert len(sample_instances(ds.graph, user, mp, n=5, rng=rng)), mp.id
 
     def test_mp3_walks_stay_reachable_between_same_cluster_users(self):
         cfg = SynthConfig(users=40, concepts=20, clusters=4, seed=4)
@@ -102,9 +102,7 @@ class TestGenerator:
             for inst in sample_instances(ds.graph, click.user, mp3, n=10, rng=rng):
                 # endpoints share the cluster: courses only cover own-cluster
                 # concepts and users only learn own-cluster courses
-                assert cluster_of(inst[0], cfg.clusters) == cluster_of(
-                    inst[-1], cfg.clusters
-                )
+                assert inst[0] % cfg.clusters == inst[-1] % cfg.clusters
 
     def test_click_timestamps_in_window(self):
         from hincrec.synth import TS_SPAN, TS_START

@@ -77,7 +77,7 @@ def count_neighbor_lists(monkeypatch):
 
 
 def user_bags(env, user):
-    return {k: [list(w) for w in bag] for k, bag in env.corpus.snapshot_user(user).items()}
+    return {k: walks.tolist() for k, walks in env.corpus.snapshot_user(user).items()}
 
 
 def assert_tensors_equal(a, b):
@@ -142,7 +142,7 @@ class TestEpisodeInvariants:
         ep = play_episode(model, env, user, horizon=2, epsilon=0.0, gamma=0.9, rng=rng)
         assert ep.embed_count == 3
         assert all(env.graph.has_edge(user, NodeRef(K, c), Relation.CLICK) for c in unwired)
-        assert env.corpus.snapshot_user(user) == bags
+        assert user_bags(env, user) == bags
         rollback_episode(env, ep)
 
     def test_first_embedding_reads_the_kept_arrays(self, monkeypatch):
@@ -277,7 +277,7 @@ class TestTrainRL:
                      lam=float("nan"), rng=rng)
         assert edges_rolled_back == [2]
         assert env.graph.snapshot_digest() == digest
-        assert env.corpus.snapshot_user(user) == bags
+        assert user_bags(env, user) == bags
         assert_tensors_equal(snapshot(model), before)
 
     def test_nan_parameter_stops_before_the_update(self):
@@ -312,7 +312,7 @@ class TestTrainRL:
             train_rl(model, env, episodes=1, horizon=2, epsilon=0.0, rng=rng)
         assert len(calls) == 2
         assert env.graph.snapshot_digest() == digest
-        assert env.corpus.snapshot_user(user) == bags
+        assert user_bags(env, user) == bags
 
     def test_toy_convergence_to_correct_concept(self):
         # exhaustive toy: one user, three concepts, one correct answer

@@ -1,4 +1,6 @@
-"""Unfused reference composition of the user embedding.
+"""Unfused reference composition of the user embedding, and the
+``NodeRef``-list walk sampler and neighbor lists that the array ones
+are checked against.
 
 The same HAN-style model as ``hincrec.embedding``, built the long way:
 one ``gather_row`` and one ``matvec`` per projected node, and one Python
@@ -19,21 +21,15 @@ given embeddings and the action distribution of a vector.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from hincrec.autodiff import ShapeMismatch, Tape, Var, _accum, attention_weights
-from hincrec.embedding import (
-    EmbedParams,
-    UserEmbedding,
-    _keys,
-    _layout,
-    _project,
-    neighborhood,
-)
-from hincrec.graph import NodeRef
-from hincrec.metapath import MetaPath, PathCorpus, metapath_neighbors
+from hincrec.embedding import EmbedParams, UserEmbedding, _layout, _project, neighborhood
+from hincrec.graph import HinGraph, NodeRef, node_key
+from hincrec.metapath import RETRY_FACTOR, MetaPath, PathCorpus
 from hincrec.policy import ActionSet, PolicyParams, build_action_distribution
 
 
@@ -98,6 +94,49 @@ def slice1d(tape: Tape, x, start: int, stop: int) -> Var:
         x.grad[start:stop] += g
 
     return tape._emit(x.value[start:stop], backward)
+
+
+# -- walks and neighborhoods as NodeRef lists ------------------------------------
+
+
+def sample_instances(
+    graph: HinGraph,
+    user: NodeRef,
+    mp: MetaPath,
+    n: int = 10,
+    *,
+    rng: np.random.Generator,
+) -> list[list[NodeRef]]:
+    """``hincrec.metapath.sample_instances`` over ``graph.neighbors``
+    lists: one ``rng.integers(degree)`` per hop, including degree 1, and
+    walks as lists of NodeRefs."""
+    out: list[list[NodeRef]] = []
+    retries = 0
+    while len(out) < n:
+        walk = [user]
+        for rel in mp.relations:
+            nbrs = graph.neighbors(walk[-1], rel)
+            if not nbrs:
+                walk = []
+                break
+            walk.append(nbrs[int(rng.integers(len(nbrs)))])
+        if walk:
+            out.append(walk)
+        else:
+            retries += 1
+            if retries >= RETRY_FACTOR * n:
+                break
+    return out
+
+
+def neighbor_refs(corpus: PathCorpus, user: NodeRef, mp: MetaPath) -> list[NodeRef]:
+    """``hincrec.metapath.metapath_neighbors`` as NodeRefs: the user, then
+    the distinct nodes of the bag's walks in first-seen order."""
+    return list(dict.fromkeys(chain((user,), *corpus.bag(user, mp.id))))
+
+
+def keys_of(refs: Sequence[NodeRef]) -> np.ndarray:
+    return np.array([node_key(ref) for ref in refs], dtype=np.int64)
 
 
 # -- the unfused user embedding ------------------------------------------------
@@ -174,7 +213,7 @@ def user_embedding(
     per_path: list[Var] = []
     scores: list[Var] = []
     for mp in params.metapaths:
-        nbrs = metapath_neighbors(corpus, user, mp)
+        nbrs = neighbor_refs(corpus, user, mp)
         emb = path_embedding(tape, leaves, params, user, nbrs, mp, project)
         per_path.append(emb)
         scores.append(path_score(tape, leaves, emb))
@@ -227,7 +266,7 @@ def node_attention(
     leaves = _const_leaves(tape, params.tensors)
     # the node leads its keys so that its row is laid out, then attends
     # over the neighborhood as given
-    ids, rows, mask, self_rows = _layout(_keys(node, [[node, *neighborhood]])[None])
+    ids, rows, mask, self_rows = _layout(keys_of([node, *neighborhood])[None, None])
     h = _project(tape, leaves, ids).value
     a = leaves[f"attn.mp{mp.id}"].value
     _, _, alpha = attention_weights(

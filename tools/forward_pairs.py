@@ -13,30 +13,42 @@ pairs and the change first on odd ones:
 - ``setup``: one ``temporal_split`` of the side's world at the 80th
   percentile of its click times, then ``holdout_targets(0.5)`` of the
   training split, as the world's set-up runs them; one run per figure;
+- ``walks``: one user's ``PathCorpus.build`` on the training graph, as a
+  ``recommend`` request walks;
 - ``forward``: one user's forward-only ``user_embedding`` from a corpus
   that holds the user's bags and nothing derived from them, as a
   ``recommend`` request embeds after its walks;
 - ``rl_step``: one user's embedding from the training corpus, the masked
   action distribution, the log-probability of the greedy concept and the
   entropy term, then the backward pass: the first step of an RL episode;
-- ``pretrain_batch``: one ``pretrain`` episode of 8 users, Adam included.
+- ``pretrain_batch``: one ``pretrain`` episode of 8 users, Adam included;
+- ``evaluate``: the ``hincrec eval`` protocol over the temporal split's
+  test users, as ``bench/workloads.py`` runs it: the corpus build, the
+  ``PolicyScorer``'s logits, ``build_trials`` with 99 negatives,
+  ``score_trials`` and ``aggregate``; one run per figure.
 
-Except for ``setup``, a pair's figure is the mean over ``--users`` users
-(or batches). The table gives each side's median over the pairs in
-microseconds, the change/parent ratio of the medians and the median of
-the pairs' ratios.
+Except for ``setup`` and ``evaluate``, a pair's figure is the mean over
+``--users`` users (or batches). The table gives each side's median over
+the pairs in microseconds, the change/parent ratio of the medians and
+the median of the pairs' ratios. BLAS runs on one thread, as
+``bench/run.py`` pins it, unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
 
 import argparse
 import importlib.util
+import os
 import statistics
 import sys
 import time
 from pathlib import Path
 
-import numpy as np
+# Set before numpy loads BLAS, which reads it once. Unpinned, the batched
+# embedding of `evaluate` ran slower and less steadily.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 SIDES = ("parent", "change")
 WORLDS = {
@@ -45,7 +57,7 @@ WORLDS = {
     # bench/workloads.py's 4x world
     "reinforce": dict(users=800, concepts=200, clusters=20, courses=40, videos=80, seed=7),
 }
-WALKS, WALK_LEN, BATCH, LAM = 10, 5, 8, 0.08
+WALKS, WALK_LEN, BATCH, LAM, NEGATIVES = 10, 5, 8, 0.08, 99
 
 
 def load(src: Path, name: str):
@@ -68,7 +80,10 @@ class Side:
         self.ds = pkg.synth.generate_synthetic(pkg.synth.SynthConfig(**WORLDS[world]))
         stamps = sorted(c.ts for c in self.ds.clicks)
         self.cutoff = stamps[int(0.8 * len(stamps))]
-        hold = self._split()
+        self.split = pkg.data.temporal_split(self.ds, self.cutoff)
+        self.test_users = sorted({u for u, _ in self.split.test_positives}, key=lambda r: r.index)
+        self.seed = seed
+        hold = pkg.data.holdout_targets(self.split.train, 0.5)
         rng = np.random.default_rng(seed)
         mps = pkg.metapath.builtin_metapaths()
         self.env = pkg.training.make_training_env(
@@ -78,6 +93,7 @@ class Side:
         scores = self.model.policy.tensors["policy.scores"]
         scores[...] = rng.normal(0.0, 1.0 / np.sqrt(scores.shape[1]), scores.shape)
         self.rng = rng
+        self.walk_rng = np.random.default_rng([seed, 2])
         picks = np.random.default_rng([seed, 1]).choice(len(self.env.users), n_users, False)
         self.users = [self.env.users[int(i)] for i in picks]
 
@@ -89,6 +105,16 @@ class Side:
         t0 = time.perf_counter()
         self._split()
         return time.perf_counter() - t0
+
+    def walks(self) -> float:
+        pkg, env = self.pkg, self.env
+        t0 = time.perf_counter()
+        for user in self.users:
+            pkg.metapath.PathCorpus.build(
+                env.graph, [user], env.corpus.metapaths, n=WALKS, max_len=WALK_LEN,
+                rng=self.walk_rng,
+            )
+        return (time.perf_counter() - t0) / len(self.users)
 
     def forward(self) -> float:
         pkg, env = self.pkg, self.env
@@ -122,8 +148,24 @@ class Side:
         self.pkg.training.pretrain(self.model, self.env, episodes=n, batch=BATCH, rng=self.rng)
         return (time.perf_counter() - t0) / n
 
+    def evaluate(self) -> float:
+        pkg, split = self.pkg, self.split
+        graph = split.train.graph
+        t0 = time.perf_counter()
+        corpus = pkg.metapath.PathCorpus.build(
+            graph, self.test_users, self.env.corpus.metapaths, n=WALKS, max_len=WALK_LEN,
+            rng=np.random.default_rng(self.seed),
+        )
+        scorer = pkg.metrics.PolicyScorer(self.model, graph, corpus)
+        trials = pkg.metrics.build_trials(
+            split.test_positives, split.clicked_by_user(), self.env.n_concepts, NEGATIVES,
+            np.random.default_rng(self.seed),
+        )
+        pkg.metrics.aggregate(pkg.metrics.score_trials(scorer, trials))
+        return time.perf_counter() - t0
 
-MEASUREMENTS = ("setup", "forward", "rl_step", "pretrain_batch")
+
+MEASUREMENTS = ("setup", "walks", "forward", "rl_step", "pretrain_batch", "evaluate")
 
 
 def run_pairs(sides: dict[str, Side], pairs: int) -> dict[str, dict[str, list[float]]]:
