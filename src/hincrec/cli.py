@@ -8,11 +8,16 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
+# Set before numpy loads BLAS, which reads it once: the evaluation's small
+# batched products ran slower and less steadily on one BLAS thread per core.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .config import ConfigError, TrainConfig, load_synth_config, load_train_config
 from .data import (

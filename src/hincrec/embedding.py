@@ -9,7 +9,7 @@ single user vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
@@ -24,7 +24,7 @@ class EmbedConfig:
     heads: int = 8             # attention heads; dim must divide evenly
     feat_dim: int = 32         # per-type learnable feature width
     path_hidden: int = 128     # hidden size of the path-level scorer
-    leaky_slope: float = 0.2
+    leaky_slope: ClassVar[float] = 0.2  # node-attention LeakyReLU slope (HAN)
 
     def __post_init__(self) -> None:
         if self.dim % self.heads != 0:

@@ -37,26 +37,24 @@ class ModelParams:
     # -- checkpoint IO ---------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
-        meta = {
-            "meta.metapaths": np.array([mp.id for mp in self.embed.metapaths], float),
-            "meta.leaky_slope": np.array(self.embed.cfg.leaky_slope),
-        }
-        save_tensors(path, {**self.tensors, **meta})
+        mp_ids = np.array([mp.id for mp in self.embed.metapaths], float)
+        save_tensors(path, {**self.tensors, "meta.metapaths": mp_ids})
 
     @classmethod
     def load(cls, path: Union[str, Path]) -> "ModelParams":
         tensors = load_tensors(path)
-        # Older files carry three variant flags; every one written by the
-        # CLI holds zeros, the only model this version has.
-        flags = tensors.pop("meta.flags", None)
-        if flags is not None and np.any(flags != 0):
-            raise CheckpointError(
-                f"checkpoint {path} is for a model variant that is no longer "
-                f"supported (meta.flags = {flags.tolist()})"
-            )
+        # Older files carry three variant flags and the attention slope; a
+        # file the CLI wrote holds zeros and 0.2, the only model there is now.
+        legacy = {"meta.flags": 0.0, "meta.leaky_slope": EmbedConfig.leaky_slope}
+        for key, supported in legacy.items():
+            value = tensors.pop(key, None)
+            if value is not None and np.any(value != supported):
+                raise CheckpointError(
+                    f"checkpoint {path} is for a model variant that is no longer "
+                    f"supported ({key} = {value.tolist()})"
+                )
         try:
             mp_ids = [int(i) for i in np.atleast_1d(tensors.pop("meta.metapaths"))]
-            slope = float(tensors.pop("meta.leaky_slope"))
             by_id = {mp.id: mp for mp in builtin_metapaths()}
             metapaths = [by_id[i] for i in mp_ids]
             heads, two_f1 = tensors[f"attn.mp{mp_ids[0]}"].shape
@@ -65,7 +63,6 @@ class ModelParams:
                 heads=heads,
                 feat_dim=tensors["feat.user"].shape[1],
                 path_hidden=tensors["path.W"].shape[0],
-                leaky_slope=slope,
             )
             policy = {k: tensors.pop(k) for k in ("policy.scores", "policy.bias")}
         except (KeyError, IndexError, ValueError) as exc:

@@ -95,12 +95,11 @@ def select_action(
     actions: ActionSet,
     epsilon: float,
     rng: np.random.Generator,
-) -> tuple[int, float]:
+) -> int:
     """Epsilon-greedy pick from a masked distribution.
 
     With probability epsilon a uniform available action is taken, else the
     argmax of `dist` (ties resolved toward the smallest concept index).
-    The returned log-probability is log dist[chosen] in either branch.
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be within [0, 1]")
@@ -108,7 +107,5 @@ def select_action(
     if avail.size == 0:
         raise EmptyActionSet("no available action to select")
     if rng.random() < epsilon:
-        chosen = int(avail[int(rng.integers(avail.size))])
-    else:
-        chosen = int(np.argmax(dist))
-    return chosen, float(np.log(dist[chosen]))
+        return int(avail[int(rng.integers(avail.size))])
+    return int(np.argmax(dist))

@@ -120,56 +120,36 @@ def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
 
 
 class Adam:
-    """Standard Adam with bias correction; updates tensors in place.
+    """Standard Adam with bias correction over the arrays it is built on.
 
-    The first step lays the tensors out, in the order of `tensors`, in
-    flat buffers: the two moments, the gradient and a scratch row. A step
-    is then a fixed number of in-place passes over those buffers, however
-    many tensors there are, with the per-element arithmetic of the
-    textbook per-tensor step. Every later step must pass the same names
-    and shapes, and a gradient for each of them.
+    Construction lays `tensors` out, in their order, in flat buffers: the
+    two moments, the gradient and a scratch row. A step is then a fixed
+    number of in-place passes over those buffers, however many tensors
+    there are, with the per-element arithmetic of the textbook per-tensor
+    step, and updates the arrays of `tensors` in place.
     """
 
-    def __init__(self, lr: float):
+    def __init__(self, tensors: dict[str, np.ndarray], lr: float):
         self.lr = lr
         self.t = 0
-        # (name, shape, view of _g, view of _s) per tensor
-        self._slots: list[tuple[str, tuple, np.ndarray, np.ndarray]] = []
-        self._m = self._v = self._g = self._s = np.zeros(0)
-
-    def _lay_out(self, tensors: dict[str, np.ndarray]) -> None:
         size = sum(arr.size for arr in tensors.values())
         self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
+        # (name, array, its view of _g, its view of _s) per tensor
+        self._slots: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
         lo = 0
         for name, arr in tensors.items():
             hi = lo + arr.size
             self._slots.append((
                 name,
-                arr.shape,
+                arr,
                 self._g[lo:hi].reshape(arr.shape),
                 self._s[lo:hi].reshape(arr.shape),
             ))
             lo = hi
 
-    def step(
-        self,
-        tensors: dict[str, np.ndarray],
-        grads: dict[str, np.ndarray],
-        maximize: bool = False,
-    ) -> None:
-        """One update; raises FloatingPointError, with nothing changed,
-        when a gradient entry is not finite."""
-        if not self._slots:
-            self._lay_out(tensors)
-        elif len(tensors) != len(self._slots) or any(
-            name != slot[0] or arr.shape != slot[1]
-            for (name, arr), slot in zip(tensors.items(), self._slots)
-        ):
-            raise ValueError(
-                "Adam.step: tensors changed since the first step: "
-                f"{[(s[0], s[1]) for s in self._slots]} -> "
-                f"{[(name, arr.shape) for name, arr in tensors.items()]}"
-            )
+    def step(self, grads: dict[str, np.ndarray], maximize: bool = False) -> None:
+        """One update from a gradient per tensor; raises FloatingPointError,
+        with nothing changed, when a gradient entry is not finite."""
         m, v, g, s = self._m, self._v, self._g, self._s
         for name, _, g_view, _ in self._slots:
             g_view[...] = grads[name]
@@ -194,8 +174,8 @@ class Adam:
         np.sqrt(g, out=g)
         g += ADAM_EPS
         s /= g
-        for name, _, _, s_view in self._slots:
-            tensors[name] -= s_view
+        for _, arr, _, s_view in self._slots:
+            arr -= s_view
 
 
 @dataclass
@@ -274,7 +254,7 @@ def play_episode(
     try:
         while True:
             dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
-            action, _ = select_action(dist.value, actions, epsilon, rng)
+            action = select_action(dist.value, actions, epsilon, rng)
             log_prob = tape.log(tape.gather_row(dist, action))
             actions = actions.shrink(action)
             reward, mutated = step(env.graph, env.targets, user, action)
@@ -335,7 +315,7 @@ def pretrain(
     ]
     if not instances:
         raise ValueError("no (user, target) pairs to pretrain on")
-    adam = Adam(lr)
+    adam = Adam(model.tensors, lr)
     metapaths = model.embed.metapaths
     losses: list[float] = []
     for ep in range(episodes):
@@ -351,7 +331,7 @@ def pretrain(
                 f"non-finite pretrain loss {float(loss.value)} in episode {ep + 1}"
             )
         grads = tape.gradients(loss, leaves)
-        adam.step(model.tensors, grads, maximize=False)
+        adam.step(grads, maximize=False)
         losses.append(float(loss.value))
         if (ep + 1) % 500 == 0:
             recent = float(np.mean(losses[-500:]))
@@ -378,7 +358,7 @@ def train_rl(
     entropy-regularized return objective, and rolls the graph back to its
     base state.
     """
-    adam = Adam(lr)
+    adam = Adam(model.tensors, lr)
     stats: list[EpisodeStats] = []
     for ep in range(episodes):
         t0 = time.perf_counter()
@@ -386,7 +366,7 @@ def train_rl(
         episode = play_episode(model, env, user, horizon, epsilon, gamma, rng)
         try:
             result = objective_and_gradients(episode, lam)
-            adam.step(model.tensors, result.grads, maximize=True)
+            adam.step(result.grads, maximize=True)
         finally:
             rollback_episode(env, episode)
         elapsed = time.perf_counter() - t0

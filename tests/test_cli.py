@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hincrec
 from hincrec.cli import main
 from hincrec.data import load_dataset
 from hincrec.graph import NodeRef, NodeType, Relation
@@ -34,6 +40,23 @@ batch = 4
 """
 
 CUTOFF = 1_660_000_000
+SRC = str(Path(hincrec.__file__).resolve().parents[1])
+
+# Prints the BLAS thread setting that `hincrec.cli`'s first `import numpy`
+# sees, after checking that the bare package loads no numpy.
+BLAS_AT_NUMPY_IMPORT = (
+    "import builtins, os, sys\n"
+    "import hincrec\n"
+    "assert 'numpy' not in sys.modules\n"
+    "seen, real_import = [], builtins.__import__\n"
+    "def recording(name, *args, **kwargs):\n"
+    "    if name == 'numpy' and not seen:\n"
+    "        seen.append(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+    "    return real_import(name, *args, **kwargs)\n"
+    "builtins.__import__ = recording\n"
+    "import hincrec.cli\n"
+    "print(seen[0])\n"
+)
 
 
 @pytest.fixture
@@ -267,3 +290,21 @@ def test_checkpoint_refuses_other_dataset(workspace, capsys, users, concepts):
         out, err = capsys.readouterr()
         assert out == ""
         assert f"trained on 24 user nodes, the dataset has {users}" in err
+
+
+def _run_python(script, blas=None):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = SRC
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    return subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
+def test_importing_the_package_loads_no_numpy():
+    assert _run_python("import sys, hincrec; print('numpy' in sys.modules)") == "False"
+
+
+@pytest.mark.parametrize("blas, seen", [(None, "1"), ("2", "2")])
+def test_cli_pins_blas_before_numpy_loads_unless_set(blas, seen):
+    assert _run_python(BLAS_AT_NUMPY_IMPORT, blas) == seen

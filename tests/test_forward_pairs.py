@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -13,10 +14,15 @@ forward_pairs = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(forward_pairs)
 
 
-def test_both_sides_run_every_measurement(capsys):
-    src = str(ROOT / "src")
-    assert forward_pairs.main(["--parent", src, "--change", src, "--pairs", "2",
-                               "--users", "2"]) == 0
+def test_both_sides_run_every_measurement(capsys, tmp_path):
+    # the parent side's package imports its submodules itself, as older
+    # trees did; the change side is this tree's bare package
+    shutil.copytree(ROOT / "src" / "hincrec", tmp_path / "hincrec",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "hincrec" / "__init__.py", "a", encoding="utf-8") as init:
+        init.write(f"from . import {', '.join(forward_pairs.SUBMODULES)}\n")
+    assert forward_pairs.main(["--parent", str(tmp_path), "--change", str(ROOT / "src"),
+                               "--pairs", "2", "--users", "2"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "world acceptance, 2 pairs of 2 users each"
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:]}

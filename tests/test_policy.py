@@ -80,9 +80,7 @@ class TestSelect:
         actions = excluding(4, [3])
         rng = np.random.default_rng(0)
         for _ in range(50):
-            action, logp = select_action(dist, actions, 0.0, rng)
-            assert action == 1
-            assert logp == pytest.approx(math.log(0.6))
+            assert select_action(dist, actions, 0.0, rng) == 1
 
     def test_uniform_when_epsilon_one(self):
         # oracle: binomial(10000, 1/4); 3 sigma on counts = 3*sqrt(n p (1-p))
@@ -92,22 +90,13 @@ class TestSelect:
         counts = np.zeros(4)
         n = 10_000
         for _ in range(n):
-            action, _ = select_action(dist, actions, 1.0, rng)
-            counts[action] += 1
+            counts[select_action(dist, actions, 1.0, rng)] += 1
         sigma3 = 3 * math.sqrt(n * 0.25 * 0.75)
         assert np.all(np.abs(counts - n / 4) <= sigma3)
 
     def test_tie_breaks_to_lower_index(self):
         dist = np.array([0.0, 0.4, 0.4, 0.2])
-        action, _ = select_action(dist, ActionSet.full(4), 0.0, np.random.default_rng(0))
-        assert action == 1
-
-    def test_logprob_matches_distribution_in_both_branches(self):
-        dist = np.array([0.25, 0.25, 0.5])
-        rng = np.random.default_rng(5)
-        for eps in (0.0, 1.0):
-            action, logp = select_action(dist, ActionSet.full(3), eps, rng)
-            assert logp == pytest.approx(math.log(dist[action]))
+        assert select_action(dist, ActionSet.full(4), 0.0, np.random.default_rng(0)) == 1
 
     def test_epsilon_validation(self):
         with pytest.raises(ValueError):

@@ -144,3 +144,34 @@ def test_checkpoint_with_variant_flag_rejected(tmp_path, flag):
     save_tensors(path, {**load_tensors(path), "meta.flags": flags})
     with pytest.raises(CheckpointError, match="meta.flags"):
         ModelParams.load(path)
+
+
+def test_checkpoint_with_the_fixed_slope_loads(tmp_path):
+    # files written before the slope was fixed carry meta.leaky_slope = 0.2
+    model = init_model(
+        _graph(), builtin_metapaths(),
+        EmbedConfig(dim=8, heads=2, feat_dim=4, path_hidden=6),
+        rng=np.random.default_rng(5),
+    )
+    path = tmp_path / "m.bin"
+    model.save(path)
+    assert "meta.leaky_slope" not in load_tensors(path)
+    save_tensors(path, {**load_tensors(path), "meta.leaky_slope": np.array(0.2)})
+    loaded = ModelParams.load(path)
+    assert loaded.embed.cfg == model.embed.cfg
+    assert loaded.embed.cfg.leaky_slope == 0.2
+    for name, arr in model.tensors.items():
+        assert np.array_equal(loaded.tensors[name], arr), name
+
+
+def test_checkpoint_with_another_slope_rejected(tmp_path):
+    model = init_model(
+        _graph(), builtin_metapaths(),
+        EmbedConfig(dim=8, heads=2, feat_dim=4, path_hidden=6),
+        rng=np.random.default_rng(5),
+    )
+    path = tmp_path / "m.bin"
+    model.save(path)
+    save_tensors(path, {**load_tensors(path), "meta.leaky_slope": np.array(0.1)})
+    with pytest.raises(CheckpointError, match="meta.leaky_slope"):
+        ModelParams.load(path)

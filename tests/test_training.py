@@ -336,8 +336,7 @@ class TestTrainRL:
 
         emb = user_embedding(model.embed, g, env.corpus, user)
         dist = action_distribution(model.policy, emb, ActionSet.full(3))
-        greedy, _ = select_action(dist, ActionSet.full(3), 0.0, np.random.default_rng(2))
-        assert greedy == 2
+        assert select_action(dist, ActionSet.full(3), 0.0, np.random.default_rng(2)) == 2
 
     def test_determinism_same_seed_same_params(self):
         results = []
@@ -371,9 +370,9 @@ class TestAdam:
     def test_bit_equal_to_textbook_step(self, maximize):
         tensors, grads = adam_problem(0)
         ref_tensors = {k: v.copy() for k, v in tensors.items()}
-        adam, ref = Adam(lr=1e-2), TextbookAdam(lr=1e-2)
+        adam, ref = Adam(tensors, lr=1e-2), TextbookAdam(lr=1e-2)
         for g in grads:
-            adam.step(tensors, g, maximize=maximize)
+            adam.step(g, maximize=maximize)
             ref.step(ref_tensors, g, maximize=maximize)
             assert adam.t == ref.t
             assert adam._m.tobytes() == flat(ref.m).tobytes()
@@ -384,43 +383,29 @@ class TestAdam:
 
     def test_updates_the_callers_arrays(self):
         tensors, grads = adam_problem(1)
-        arrays = dict(tensors)
-        Adam(lr=1e-2).step(tensors, grads[0])
-        assert all(tensors[k] is arrays[k] for k in ADAM_SHAPES)
+        before = {k: v.copy() for k, v in tensors.items()}
+        Adam(tensors, lr=1e-2).step(grads[0])
+        for k in ADAM_SHAPES:
+            if tensors[k].size:
+                assert not np.array_equal(tensors[k], before[k]), k
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_changes_nothing(self, bad):
         tensors, grads = adam_problem(2)
-        adam = Adam(lr=1e-2)
-        adam.step(tensors, grads[0])
+        adam = Adam(tensors, lr=1e-2)
+        adam.step(grads[0])
         before = {k: v.copy() for k, v in tensors.items()}
         m, v = adam._m.copy(), adam._v.copy()
         grads[1]["cube"][1, 0, 2] = bad
         with pytest.raises(FloatingPointError, match="cube"):
-            adam.step(tensors, grads[1], maximize=True)
+            adam.step(grads[1], maximize=True)
         assert adam.t == 1
         assert adam._m.tobytes() == m.tobytes()
         assert adam._v.tobytes() == v.tobytes()
         assert_tensors_equal(tensors, before)
 
-    @pytest.mark.parametrize("change", ["rename", "reshape", "drop"])
-    def test_later_step_must_keep_the_layout(self, change):
-        tensors, grads = adam_problem(3)
-        adam = Adam(lr=1e-2)
-        adam.step(tensors, grads[0])
-        if change == "rename":
-            tensors["w2"] = tensors.pop("w")
-            grads[1]["w2"] = grads[1].pop("w")
-        elif change == "reshape":
-            tensors["w"] = tensors["w"].reshape(4, 3)
-            grads[1]["w"] = grads[1]["w"].reshape(4, 3)
-        else:
-            del tensors["b"], grads[1]["b"]
-        with pytest.raises(ValueError, match="changed since the first step"):
-            adam.step(tensors, grads[1])
-
     def test_missing_gradient_raises(self):
         tensors, grads = adam_problem(4)
         del grads[0]["b"]
         with pytest.raises(KeyError, match="b"):
-            Adam(lr=1e-2).step(tensors, grads[0])
+            Adam(tensors, lr=1e-2).step(grads[0])

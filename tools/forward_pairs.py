@@ -58,10 +58,13 @@ WORLDS = {
     "reinforce": dict(users=800, concepts=200, clusters=20, courses=40, videos=80, seed=7),
 }
 WALKS, WALK_LEN, BATCH, LAM, NEGATIVES = 10, 5, 8, 0.08, 99
+SUBMODULES = ("autodiff", "data", "embedding", "metapath", "metrics", "model", "policy",
+              "synth", "training")
 
 
 def load(src: Path, name: str):
-    """The ``hincrec`` package under `src`, imported as `name`."""
+    """The ``hincrec`` package under `src`, imported as `name`, with the
+    submodules the measurements read loaded as its attributes."""
     pkg_dir = src / "hincrec"
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
@@ -69,6 +72,8 @@ def load(src: Path, name: str):
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
+    for sub in SUBMODULES:
+        importlib.import_module(f"{name}.{sub}")
     return module
 
 
