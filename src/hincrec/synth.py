@@ -8,6 +8,7 @@ cross-cluster draws, giving a learnable planted signal.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -15,9 +16,11 @@ import numpy as np
 
 from .data import Click, Dataset, IdMap
 from .graph import HinGraph, NodeRef, NodeType, Relation
+from .metapath import bounded_draws
 
 TS_START = 1_500_000_000
 TS_SPAN = 200_000_000
+P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))  # rng.choice's tolerance
 
 
 class ConfigInvalid(Exception):
@@ -115,18 +118,23 @@ def generate_synthetic(cfg: SynthConfig) -> Dataset:
                 graph.add_edge(user, video, Relation.WATCH)
 
     # Clicks: pick a cluster by weight (own p_in, each other p_out), then a
-    # uniform concept inside it.
+    # uniform concept inside it. The draws are rng.choice(clusters, p=w)'s,
+    # one uniform searched in the cdf of w, and two rng.integers calls'.
     clicks: list[Click] = []
     weights = np.full(cfg.clusters, cfg.p_out)
+    draw = bounded_draws(rng)
     for user in users:
         w = weights.copy()
         w[cluster_of(user)] = cfg.p_in
         w /= w.sum()
+        if not (np.isfinite(w).all() and (w >= 0).all() and abs(w.sum() - 1) <= P_SUM_ATOL):
+            raise ValueError(f"click weights are not probabilities: {w}")
+        cdf = w.cumsum()
+        cdf = (cdf / cdf[-1]).tolist()
         for _ in range(cfg.clicks_per_user):
-            cluster = int(rng.choice(cfg.clusters, p=w))
-            pool = concepts_in[cluster]
-            concept = pool[int(rng.integers(len(pool)))]
-            ts = TS_START + int(rng.integers(TS_SPAN))
+            pool = concepts_in[bisect_right(cdf, rng.random())]
+            concept = pool[draw(len(pool))] if len(pool) > 1 else pool[0]
+            ts = TS_START + draw(TS_SPAN)
             graph.add_edge(user, concept, Relation.CLICK)
             clicks.append(Click(user, concept, ts))
     clicks.sort(key=Click.sort_key)

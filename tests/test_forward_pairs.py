@@ -27,7 +27,7 @@ def test_both_sides_run_every_measurement(capsys, tmp_path):
     assert lines[0] == "world acceptance, 2 pairs of 2 users each"
     rows = {line.split()[0]: [float(x) for x in line.split()[1:]] for line in lines[2:]}
     assert list(rows) == list(forward_pairs.MEASUREMENTS)
-    assert {"walks", "evaluate"} <= set(rows)
+    assert {"generate", "walks", "evaluate"} <= set(rows)
     for parent_us, change_us, ratio, pair_ratio in rows.values():
         assert parent_us > 0 and change_us > 0 and ratio > 0 and pair_ratio > 0
 
@@ -56,6 +56,24 @@ def test_walks_and_evaluate_run_what_a_request_and_an_eval_run(monkeypatch):
     assert built == [(side.split.train.graph, side.test_users)]
     (report,) = reports
     assert report.n_trials == len(side.split.test_positives) > 0
+
+
+def test_generate_generates_the_sides_world(monkeypatch):
+    side = forward_pairs.Side(forward_pairs.load(ROOT / "src", "hincrec_generate"),
+                              "acceptance", 0, 3)
+    synth, worlds = side.pkg.synth, []
+    generate = synth.generate_synthetic
+
+    def recording_generate(cfg):
+        worlds.append(generate(cfg))
+        return worlds[-1]
+
+    monkeypatch.setattr(synth, "generate_synthetic", recording_generate)
+    assert side.generate() > 0
+    (ds,) = worlds
+    assert side.world == synth.SynthConfig(**forward_pairs.WORLDS["acceptance"])
+    assert ds.graph.snapshot_digest() == side.ds.graph.snapshot_digest()
+    assert ds.clicks == side.ds.clicks
 
 
 def test_blas_is_pinned_to_one_thread_before_numpy_loads():

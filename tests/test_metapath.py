@@ -1,3 +1,5 @@
+import gc
+import hashlib
 import io
 
 import numpy as np
@@ -8,10 +10,12 @@ from hincrec.graph import ENDPOINTS, TYPE_ORDER, HinGraph, NodeRef, NodeType, Re
 from hincrec.metapath import (
     MetaPath,
     PathCorpus,
+    bounded_draws,
     builtin_metapaths,
     metapath_neighbors,
     sample_instances,
 )
+from hincrec.synth import SynthConfig, generate_synthetic
 from unfused import keys_of
 
 U, C, V, K = NodeType.USER, NodeType.COURSE, NodeType.VIDEO, NodeType.CONCEPT
@@ -327,6 +331,74 @@ class TestAgainstReferenceSampler:
         assert walks[:, 1].tolist() == [k0.index] * 3
         assert walks[:, 2].tolist() == [int(draws.integers(2)) for _ in range(3)]
         assert ours.bit_generator.state == draws.bit_generator.state
+
+
+class TestBoundedDraws:
+    """`bounded_draws` against ``rng.integers(k)``, numpy's own bounded draw."""
+
+    @staticmethod
+    def words_per_draw(rng, k, draws):
+        """The values of `draws` calls of ``bounded_draws(rng)(k)`` and the
+        32-bit words each consumed, counted on a copy of `rng` that reads
+        one raw word at a time until its state catches up."""
+        raw = np.random.default_rng()
+        raw.bit_generator.state = rng.bit_generator.state
+        draw, values, words = bounded_draws(rng), [], []
+        for _ in range(draws):
+            values.append(draw(k))
+            state, count = rng.bit_generator.state, 0
+            while raw.bit_generator.state != state:
+                raw.integers(0, 2**32, dtype=np.uint32)  # one next_uint32
+                count += 1
+            words.append(count)
+        return values, words
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered half"])
+    @pytest.mark.parametrize("k", [2, 3, 7, 500, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+    def test_values_and_state_equal_integers(self, k, buffered):
+        ours, theirs = np.random.default_rng([k, 5]), np.random.default_rng([k, 5])
+        if buffered:
+            ours.integers(7), theirs.integers(7)
+            assert ours.bit_generator.state["has_uint32"] == 1
+        values, words = self.words_per_draw(ours, k, 400)
+        assert values == [int(theirs.integers(k)) for _ in values]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        # a draw is redrawn while its low word falls below (2**32 - k) % k:
+        # about half the time at 2**31 + 1, a quarter at 3 * 2**30, and
+        # next to never at the other k
+        redrawn = sum(w > 1 for w in words) / len(words)
+        assert abs(redrawn - ((2**32 - k) % k) / 2**32) < 0.1
+
+    def test_keeps_its_generator_alive(self):
+        draw = bounded_draws(np.random.default_rng(5))
+        gc.collect()
+        want = np.random.default_rng(5).integers(7, size=50).tolist()
+        assert [draw(7) for _ in want] == want
+
+
+# The acceptance world of tests/test_acceptance.py, walked as a corpus
+# build does, with N = 10 and l = 5.
+ACCEPTANCE_WORLD = SynthConfig(users=200, concepts=50, clusters=5, p_in=0.9, p_out=0.02,
+                               clicks_per_user=20, seed=7)
+
+
+def test_acceptance_world_bags_are_pinned():
+    # computed with rng.integers(degree) per hop; a change of numpy's
+    # bounded draw, or of the sampler's order of draws, moves them
+    ds = generate_synthetic(ACCEPTANCE_WORLD)
+    users = sorted({c.user for c in ds.clicks}, key=lambda r: r.index)
+    rng = np.random.default_rng(7)
+    corpus = PathCorpus.build(ds.graph, users, builtin_metapaths(), n=10, max_len=5, rng=rng)
+    digest = hashlib.sha256()
+    for user in corpus.users():
+        for mp in corpus.metapaths:
+            digest.update(corpus.walks(user, mp.id).astype("<i8").tobytes())
+            digest.update(b"|")
+    assert len(corpus.users()) == 200
+    assert digest.hexdigest() == (
+        "b4fca1d0e2c1a13ea644f1d2d1ae0a00207438f818a660213673cbc72bf736ce"
+    )
+    assert int(rng.integers(2**32 - 1)) == 3350104315
 
 
 def test_bags_and_neighbor_lists_share_one_ref_per_node(fan_graph):

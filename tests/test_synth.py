@@ -1,7 +1,9 @@
+import hashlib
 import math
 import os
 import subprocess
 import sys
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +112,43 @@ class TestGenerator:
         ds = generate_synthetic(SynthConfig(users=20, concepts=10, clusters=2, seed=6))
         for c in ds.clicks:
             assert TS_START <= c.ts < TS_START + TS_SPAN
+
+
+class TestPinned:
+    """The generator draws what it drew with rng.choice and rng.integers."""
+
+    def test_acceptance_world(self):
+        # tests/test_acceptance.py's world, pinned where it was generated
+        # with one rng.choice(clusters, p=w) and two rng.integers per click
+        ds = generate_synthetic(SynthConfig(users=200, concepts=50, clusters=5, p_in=0.9,
+                                            p_out=0.02, clicks_per_user=20, seed=7))
+        log = "".join(f"{c.user.index}\t{c.concept.index}\t{c.ts}\n" for c in ds.clicks)
+        assert len(ds.clicks) == 4000
+        assert ds.graph.snapshot_digest() == 6232154629589704086
+        assert hashlib.sha256(log.encode()).hexdigest() == (
+            "d7c2df3bc27f219d0fa316294f8d8696d7bdb70716845f405854f6453779b543"
+        )
+
+    @pytest.mark.parametrize("w", [[0.25, 0.0, 0.5, 0.0, 0.25], [0.0, 1.0], [1.0, 0.0], [1.0]])
+    def test_cluster_pick_equals_choice(self, w):
+        # the click loop's cluster pick: one uniform searched in numpy's cdf
+        w = np.array(w)
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        cdf = w.cumsum()
+        cdf /= cdf[-1]
+        cdf = cdf.tolist()
+        picks = [bisect_right(cdf, ours.random()) for _ in range(500)]
+        assert picks == [int(theirs.choice(len(w), p=w)) for _ in picks]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        assert set(picks) == set(np.flatnonzero(w).tolist())
+
+    @pytest.mark.parametrize("p_out", [float("nan"), -0.01])
+    def test_click_weights_are_checked(self, monkeypatch, p_out):
+        # rng.choice checked its probabilities on every call; the click loop
+        # checks them once per user, past a config that skipped validation
+        monkeypatch.setattr(SynthConfig, "validate", lambda self: None)
+        with pytest.raises(ValueError, match="not probabilities"):
+            generate_synthetic(SynthConfig(users=10, concepts=6, clusters=2, p_out=p_out))
 
 
 def test_written_dataset_independent_of_hash_seed(tmp_path):

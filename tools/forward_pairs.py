@@ -10,6 +10,8 @@ drawn score table so that logits do not tie) from the same seed. Every
 pair times each measurement once per side, the parent first on even
 pairs and the change first on odd ones:
 
+- ``generate``: one ``generate_synthetic`` of the side's world; one run
+  per figure;
 - ``setup``: one ``temporal_split`` of the side's world at the 80th
   percentile of its click times, then ``holdout_targets(0.5)`` of the
   training split, as the world's set-up runs them; one run per figure;
@@ -27,11 +29,12 @@ pairs and the change first on odd ones:
   ``PolicyScorer``'s logits, ``build_trials`` with 99 negatives,
   ``score_trials`` and ``aggregate``; one run per figure.
 
-Except for ``setup`` and ``evaluate``, a pair's figure is the mean over
-``--users`` users (or batches). The table gives each side's median over
-the pairs in microseconds, the change/parent ratio of the medians and
-the median of the pairs' ratios. BLAS runs on one thread, as
-``bench/run.py`` pins it, unless ``OPENBLAS_NUM_THREADS`` is set.
+Except for ``generate``, ``setup`` and ``evaluate``, a pair's figure is
+the mean over ``--users`` users (or batches). The table gives each
+side's median over the pairs in microseconds, the change/parent ratio of
+the medians and the median of the pairs' ratios. BLAS runs on one
+thread, as ``bench/run.py`` pins it, unless ``OPENBLAS_NUM_THREADS`` is
+set.
 """
 
 from __future__ import annotations
@@ -82,7 +85,8 @@ class Side:
 
     def __init__(self, pkg, world: str, seed: int, n_users: int):
         self.pkg = pkg
-        self.ds = pkg.synth.generate_synthetic(pkg.synth.SynthConfig(**WORLDS[world]))
+        self.world = pkg.synth.SynthConfig(**WORLDS[world])
+        self.ds = pkg.synth.generate_synthetic(self.world)
         stamps = sorted(c.ts for c in self.ds.clicks)
         self.cutoff = stamps[int(0.8 * len(stamps))]
         self.split = pkg.data.temporal_split(self.ds, self.cutoff)
@@ -105,6 +109,11 @@ class Side:
     def _split(self):
         data = self.pkg.data
         return data.holdout_targets(data.temporal_split(self.ds, self.cutoff).train, 0.5)
+
+    def generate(self) -> float:
+        t0 = time.perf_counter()
+        self.pkg.synth.generate_synthetic(self.world)
+        return time.perf_counter() - t0
 
     def setup(self) -> float:
         t0 = time.perf_counter()
@@ -170,7 +179,7 @@ class Side:
         return time.perf_counter() - t0
 
 
-MEASUREMENTS = ("setup", "walks", "forward", "rl_step", "pretrain_batch", "evaluate")
+MEASUREMENTS = ("generate", "setup", "walks", "forward", "rl_step", "pretrain_batch", "evaluate")
 
 
 def run_pairs(sides: dict[str, Side], pairs: int) -> dict[str, dict[str, list[float]]]:
