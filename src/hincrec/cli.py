@@ -102,6 +102,11 @@ def _build_parser() -> _Parser:
                          help="fraction of each user's clicks held out as targets")
         cmd.add_argument("--seed", type=int, default=None)
         if name == "train":
+            cmd.description = (
+                "Pretrains (unless --init or --from-scratch), then runs REINFORCE in "
+                "updates of the config's `batch` episodes, one Adam step each; "
+                "`batch` also sets the pretraining mini-batch."
+            )
             cmd.add_argument("--init", default=None, help="warm-start checkpoint")
             cmd.add_argument("--from-scratch", action="store_true",
                              help="skip pretraining, start from random weights")
@@ -293,6 +298,7 @@ def _cmd_train(args) -> int:
         epsilon=cfg.epsilon,
         lam=cfg.lam,
         lr=cfg.lr_rl,
+        batch=cfg.batch,
         rng=rng,
     )
     if args.reward_log:

@@ -27,7 +27,7 @@ class TrainConfig:
     lam: float = 0.08             # entropy regularization weight
     lr_pretrain: float = 0.001
     lr_rl: float = 0.0001
-    batch: int = 8
+    batch: int = 8                # users per pretrain update, episodes per RL update
     pretrain_episodes: int = 10_000
 
 

@@ -98,6 +98,10 @@ def _rank_counts(
 
 
 def _ranks(trials: Sequence[RankedTrial]) -> np.ndarray:
+    """The trials' ranks; raises ValueError for no trials, where every
+    metric is undefined."""
+    if not trials:
+        raise ValueError("no trials")
     return np.fromiter((t.rank for t in trials), dtype=float, count=len(trials))
 
 
@@ -105,7 +109,12 @@ def _mean(terms: np.ndarray, n: int) -> float:
     """The sum of per-trial `terms` over `n` trials. The terms are added
     one at a time in trial order, as a loop over the trials adds them;
     ``np.sum`` adds pairwise, which rounds differently."""
-    return float(np.cumsum(terms)[-1]) / n if terms.size else 0.0
+    return float(np.cumsum(terms)[-1]) / n
+
+
+def _gains(ranks: np.ndarray, k: int) -> np.ndarray:
+    """Per-trial NDCG@k terms: 1/log2(1+rank) inside the cutoff, else 0."""
+    return np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0)
 
 
 def hit_ratio(trials: Sequence[RankedTrial], k: int) -> float:
@@ -119,18 +128,17 @@ def ndcg(trials: Sequence[RankedTrial], k: int) -> float:
     the cutoff, 0 outside (the ideal ranking normalizes to 1)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    r = _ranks(trials)
-    return _mean(1.0 / np.log2(1.0 + r[r <= k]), len(trials))
+    return _mean(_gains(_ranks(trials), k), len(trials))
 
 
 def mrr(trials: Sequence[RankedTrial]) -> float:
-    if not trials:
-        raise ValueError("no trials")
     return _mean(1.0 / _ranks(trials), len(trials))
 
 
 def auc(trials: Sequence[RankedTrial]) -> float:
     """Mean per-trial (negatives below positive + half of ties) fraction."""
+    if not trials:
+        raise ValueError("no trials")
     cands = [t.candidates for t in trials]
     _, below, tied = _rank_counts(cands, [t.scores for t in trials], [t.positive for t in trials])
     negatives = np.fromiter(map(len, cands), dtype=float, count=len(cands)) - 1
@@ -209,6 +217,66 @@ def aggregate(trials: Sequence[RankedTrial]) -> EvalReport:
         mrr=mrr(trials),
         auc=auc(trials),
         n_trials=len(trials),
+    )
+
+
+# Resamples of `paired_difference`'s bootstrap.
+BOOTSTRAP_RESAMPLES = 2000
+
+
+@dataclass
+class PairedDifference:
+    """Mean per-trial differences a - b of HR@5 and NDCG@10 between two
+    scorers ranked on the same trials, each with its 95% percentile
+    bootstrap interval, and the number of trials whose rank changed."""
+
+    hr5: float
+    hr5_ci: tuple[float, float]
+    ndcg10: float
+    ndcg10_ci: tuple[float, float]
+    changed: int
+    n_trials: int
+
+    def pretty(self) -> str:
+        return (
+            f"HR@5 {self.hr5:+.4f} [{self.hr5_ci[0]:+.4f}, {self.hr5_ci[1]:+.4f}]  "
+            f"NDCG@10 {self.ndcg10:+.4f} [{self.ndcg10_ci[0]:+.4f}, {self.ndcg10_ci[1]:+.4f}]  "
+            f"ranks changed {self.changed}/{self.n_trials}"
+        )
+
+
+def paired_difference(
+    a: Sequence[RankedTrial], b: Sequence[RankedTrial], *, rng: np.random.Generator
+) -> PairedDifference:
+    """Paired comparison of two rankings of the same trials (same users,
+    positives and candidates, in the same order; else ValueError).
+
+    Each of BOOTSTRAP_RESAMPLES resamples draws the trials with
+    replacement and takes the mean per-trial difference; the interval
+    is the 2.5th to 97.5th percentile of those means.
+    """
+    if len(a) != len(b) or not all(
+        x.user == y.user and x.positive == y.positive
+        and np.array_equal(x.candidates, y.candidates)
+        for x, y in zip(a, b)
+    ):
+        raise ValueError("paired rankings must hold the same trials")
+    ra, rb = _ranks(a), _ranks(b)
+    diffs = np.stack(
+        [(ra <= 5).astype(float) - (rb <= 5), _gains(ra, 10) - _gains(rb, 10)], axis=1
+    )
+    means = np.empty((BOOTSTRAP_RESAMPLES, 2))
+    for i in range(BOOTSTRAP_RESAMPLES):
+        means[i] = diffs[rng.integers(len(diffs), size=len(diffs))].mean(axis=0)
+    lo, hi = np.percentile(means, [2.5, 97.5], axis=0)
+    hr5, ndcg10 = diffs.mean(axis=0)
+    return PairedDifference(
+        hr5=float(hr5),
+        hr5_ci=(float(lo[0]), float(hi[0])),
+        ndcg10=float(ndcg10),
+        ndcg10_ci=(float(lo[1]), float(hi[1])),
+        changed=int(np.count_nonzero(ra != rb)),
+        n_trials=len(a),
     )
 
 

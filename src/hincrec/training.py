@@ -90,13 +90,9 @@ class ObjectiveResult:
     grads: dict[str, np.ndarray]
 
 
-def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
-    """Build the episode objective on its tape and backpropagate.
-
-    The objective is sum_t log pi(c_t|u_t) * R_t - lam * sum_t sum_c
-    pi log pi, i.e. the entropy term is a bonus under maximization.
-    Gradients come back per tensor name, pointing in the ascent direction.
-    """
+def _objective(episode: Episode, lam: float) -> tuple[Var, Var, Var]:
+    """The episode's objective, policy term and negative entropy as Vars
+    on its tape (see `objective_and_gradients`)."""
     if not episode.steps:
         raise ValueError("episode has no steps")
     tape = episode.tape
@@ -109,8 +105,18 @@ def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
     for rec in episode.steps:
         e = tape.vsum(tape.plogp(rec.dist))
         negent = e if negent is None else tape.vecadd(negent, e)
-    obj = tape.vecadd(pg, tape.scale(negent, -lam))
-    grads = tape.gradients(obj, episode.leaves)
+    return tape.vecadd(pg, tape.scale(negent, -lam)), pg, negent
+
+
+def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
+    """Build the episode objective on its tape and backpropagate.
+
+    The objective is sum_t log pi(c_t|u_t) * R_t - lam * sum_t sum_c
+    pi log pi, i.e. the entropy term is a bonus under maximization.
+    Gradients come back per tensor name, pointing in the ascent direction.
+    """
+    obj, pg, negent = _objective(episode, lam)
+    grads = episode.tape.gradients(obj, episode.leaves)
     return ObjectiveResult(
         value=float(obj.value),
         policy_term=float(pg.value),
@@ -217,6 +223,35 @@ def make_training_env(
     )
 
 
+@dataclass(slots=True)
+class FirstStep:
+    """One episode's start on its update's recording tape: the user's
+    embedding and unmasked action distribution, rows of the update's
+    batched pass."""
+
+    tape: Tape
+    leaves: dict[str, Var]
+    u: Var
+    dist: Var
+
+
+def first_steps(model: ModelParams, env: TrainingEnv, users: list[NodeRef]) -> list[FirstStep]:
+    """Opens one recording tape and embeds `users` on it in one
+    `build_user_embeddings` pass over the neighborhood keys that
+    `env.corpus` keeps, with one logit product and one softmax; every
+    action is open at a first step, so nothing is masked."""
+    tape = Tape()
+    leaves = model.leaves(tape)
+    metapaths = model.embed.metapaths
+    hoods = [neighborhood(env.corpus, user, metapaths) for user in users]
+    u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
+    dist = tape.softmax(policy_logits(tape, leaves, u))
+    return [
+        FirstStep(tape, leaves, tape.gather_row(u, b), tape.gather_row(dist, b))
+        for b in range(len(users))
+    ]
+
+
 def play_episode(
     model: ModelParams,
     env: TrainingEnv,
@@ -225,20 +260,24 @@ def play_episode(
     epsilon: float,
     gamma: float,
     rng: np.random.Generator,
+    *,
+    first: Optional[FirstStep] = None,
 ) -> Episode:
     """Roll out one episode, adding a click edge to env.graph on each
     correct step.
 
-    After every correct step, and never after the episode-ending incorrect
-    one, the user's walks are redrawn against the changed graph into a
-    corpus of the episode's own, and the user is embedded again from it;
-    env.corpus is never written. Call `rollback_episode` afterwards to
-    remove the edges; if the rollout raises, they are removed before the
-    error propagates.
+    The episode starts from `first`, the user's row of an update's
+    `first_steps`; without it, it is an update of one episode, and the
+    user is embedded as a batch of one. After every correct step, and
+    never after the episode-ending incorrect one, the user's walks are
+    redrawn against the changed graph into a corpus of the episode's own,
+    and the user is embedded again from it; env.corpus is never written.
+    Call `rollback_episode` afterwards to remove the edges; if the
+    rollout raises, they are removed before the error propagates.
     """
-    tape = Tape()
-    leaves = model.leaves(tape)
-    u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
+    if first is None:
+        (first,) = first_steps(model, env, [user])
+    tape, leaves, u_var, dist = first.tape, first.leaves, first.u, first.dist
     episode = Episode(
         user=user,
         steps=[],
@@ -253,7 +292,6 @@ def play_episode(
     t = 1
     try:
         while True:
-            dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
             action = select_action(dist.value, actions, epsilon, rng)
             log_prob = tape.log(tape.gather_row(dist, action))
             actions = actions.shrink(action)
@@ -269,6 +307,7 @@ def play_episode(
             if reward < 0 or t >= horizon or actions.count() == 0:
                 return episode
             t += 1
+            dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
     except BaseException:
         rollback_episode(env, episode)
         raise
@@ -280,7 +319,7 @@ def rollback_episode(env: TrainingEnv, episode: Episode) -> None:
         env.graph.remove_edge(a, b, Relation.CLICK)
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeStats:
     total_reward: float
     length: int
@@ -348,46 +387,65 @@ def train_rl(
     epsilon: float = 0.18,
     lam: float = 0.08,
     lr: float = 1e-4,
+    batch: int = 8,
     *,
     rng: np.random.Generator,
 ) -> tuple[ModelParams, list[EpisodeStats]]:
-    """REINFORCE fine-tuning with entropy regularization.
+    """REINFORCE fine-tuning with entropy regularization, in updates of
+    `batch` episodes (the last update may hold fewer).
 
-    Every episode picks a training user uniformly, replays clicks until
-    the first miss or the horizon, applies one Adam ascent step on the
-    entropy-regularized return objective, and rolls the graph back to its
-    base state.
+    An update draws its training users uniformly, then starts all their
+    episodes in one batched pass (`first_steps`) and plays them one after
+    another on its tape. Each replays clicks until the first miss or the
+    horizon, and its click edges are rolled back before the next episode
+    starts, so every episode sees the base graph. One Adam ascent step on
+    the sum of the episodes' entropy-regularized return objectives ends
+    the update. Each episode's `seconds` is its update's wall time over
+    the update's episode count.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     adam = Adam(model.tensors, lr)
     stats: list[EpisodeStats] = []
-    for ep in range(episodes):
+    # Totals take a few values (rewards are +-1); the records share one
+    # float per value, so a caller that keeps every record keeps less.
+    totals: dict[float, float] = {}
+    for lo in range(0, episodes, batch):
         t0 = time.perf_counter()
-        user = env.users[int(rng.integers(len(env.users)))]
-        episode = play_episode(model, env, user, horizon, epsilon, gamma, rng)
-        try:
-            result = objective_and_gradients(episode, lam)
-            adam.step(result.grads, maximize=True)
-        finally:
+        users = [
+            env.users[int(rng.integers(len(env.users)))]
+            for _ in range(min(batch, episodes - lo))
+        ]
+        played = []
+        for user, first in zip(users, first_steps(model, env, users)):
+            episode = play_episode(model, env, user, horizon, epsilon, gamma, rng, first=first)
             rollback_episode(env, episode)
-        elapsed = time.perf_counter() - t0
-        stat = EpisodeStats(
-            total_reward=episode.total_reward(),
-            length=len(episode.steps),
-            embed_count=episode.embed_count,
-            objective=result.value,
-            seconds=elapsed,
-        )
-        stats.append(stat)
-        logger.debug(
-            "episode %d: user %s reward %.0f length %d",
-            ep + 1,
-            episode.user,
-            stat.total_reward,
-            stat.length,
-        )
-        if (ep + 1) % 200 == 0:
-            recent = float(np.mean([s.total_reward for s in stats[-200:]]))
-            logger.info(
-                "rl episode %d/%d: mean reward %.2f", ep + 1, episodes, recent
+            played.append(episode)
+        objectives = [_objective(episode, lam)[0] for episode in played]
+        tape = played[0].tape
+        total = objectives[0]
+        for obj in objectives[1:]:
+            total = tape.vecadd(total, obj)
+        adam.step(tape.gradients(total, played[0].leaves), maximize=True)
+        share = (time.perf_counter() - t0) / len(played)
+        for ep, (episode, obj) in enumerate(zip(played, objectives), start=lo + 1):
+            total = episode.total_reward()
+            stat = EpisodeStats(
+                total_reward=totals.setdefault(total, total),
+                length=len(episode.steps),
+                embed_count=episode.embed_count,
+                objective=float(obj.value),
+                seconds=share,
             )
+            stats.append(stat)
+            logger.debug(
+                "episode %d: user %s reward %.0f length %d",
+                ep,
+                episode.user,
+                stat.total_reward,
+                stat.length,
+            )
+            if ep % 200 == 0:
+                recent = float(np.mean([s.total_reward for s in stats[-200:]]))
+                logger.info("rl episode %d/%d: mean reward %.2f", ep, episodes, recent)
     return model, stats

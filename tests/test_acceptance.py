@@ -36,6 +36,7 @@ from hincrec.metrics import (
     hit_ratio,
     mrr,
     ndcg,
+    paired_difference,
     rank_of_positive,
     score_trials,
 )
@@ -83,20 +84,39 @@ def split_synthetic(cfg):
 
 
 def report_for(model, split, ds, metapaths, seed=EVAL_SEED):
+    """The `evaluate` report of `model` and the ranked trials behind it."""
     rng = np.random.default_rng(seed)
     test_users = sorted({u for u, _ in split.test_positives}, key=lambda r: r.index)
     corpus = PathCorpus.build(
         split.train.graph, test_users, metapaths, n=10, max_len=5, rng=rng
     )
     scorer = PolicyScorer(model, split.train.graph, corpus)
-    return evaluate(
-        scorer,
+    trials = build_trials(
         split.test_positives,
         split.clicked_by_user(),
         ds.concept_count(),
-        n_negatives=99,
-        seed=seed,
+        99,
+        np.random.default_rng(seed),
     )
+    ranked = score_trials(scorer, trials)
+    return aggregate(ranked), ranked
+
+
+def random_report(out):
+    """The uniform scorer's report on a `train_pipeline` result's test set."""
+    return evaluate(
+        RandomScorer(EVAL_SEED),
+        out["split"].test_positives,
+        out["split"].clicked_by_user(),
+        out["ds"].concept_count(),
+        n_negatives=99,
+        seed=EVAL_SEED,
+    )
+
+
+def paired(a, b):
+    """`paired_difference` of two ranked trial lists at the evaluation seed."""
+    return paired_difference(a, b, rng=np.random.default_rng(EVAL_SEED))
 
 
 def train_pipeline(metapaths, seed=7):
@@ -112,8 +132,8 @@ def train_pipeline(metapaths, seed=7):
     model, losses = pretrain(model, env, episodes=PRETRAIN_EPISODES, rng=rng)
     pretrained = model.copy()
     model, stats = train_rl(model, env, episodes=RL_EPISODES, rng=rng)
-    sl_report = report_for(pretrained, split, ds, metapaths)
-    rl_report = report_for(model, split, ds, metapaths)
+    sl_report, sl_trials = report_for(pretrained, split, ds, metapaths)
+    rl_report, rl_trials = report_for(model, split, ds, metapaths)
     elapsed = time.perf_counter() - t0
     return {
         "ds": ds,
@@ -122,6 +142,8 @@ def train_pipeline(metapaths, seed=7):
         "stats": stats,
         "sl": sl_report,
         "rl": rl_report,
+        "sl_trials": sl_trials,
+        "rl_trials": rl_trials,
         "elapsed": elapsed,
     }
 
@@ -400,22 +422,16 @@ def test_criterion_5_mdp_contracts():
 def test_criterion_6_learnability(trained_all_paths):
     with criterion(6, "trained model beats the random baseline 3x (HR@5 >= 0.15)"):
         out = trained_all_paths
-        random_report = evaluate(
-            RandomScorer(EVAL_SEED),
-            out["split"].test_positives,
-            out["split"].clicked_by_user(),
-            out["ds"].concept_count(),
-            n_negatives=99,
-            seed=EVAL_SEED,
-        )
+        random_hr5 = random_report(out).hr5
         hr5_rl = out["rl"].hr5
         hr5_sl = out["sl"].hr5
         print(
             f"\n  HR@5: reinforced {hr5_rl:.4f}  pretrained {hr5_sl:.4f}  "
-            f"random {random_report.hr5:.4f}  (pipeline {out['elapsed']:.0f} s)"
+            f"random {random_hr5:.4f}  (pipeline {out['elapsed']:.0f} s)"
         )
+        print(f"  reinforced - pretrained: {paired(out['rl_trials'], out['sl_trials']).pretty()}")
         assert hr5_rl >= 0.15
-        assert hr5_rl >= 3.0 * random_report.hr5
+        assert hr5_rl >= 3.0 * random_hr5
         assert hr5_rl >= hr5_sl - 0.01
         assert out["elapsed"] < 900.0
 
@@ -426,11 +442,15 @@ def test_criterion_6_learnability(trained_all_paths):
 def test_criterion_7_metapath_ablation(trained_all_paths):
     with criterion(7, "all four meta-paths match or beat each single path"):
         hr5_all = trained_all_paths["rl"].hr5
-        singles = {}
+        singles, single_trials = {}, {}
         for mp in builtin_metapaths():
             result = train_pipeline([mp])
             singles[mp.id] = result["rl"].hr5
+            single_trials[mp.id] = result["rl_trials"]
+        best = max(singles, key=singles.get)
+        diff = paired(trained_all_paths["rl_trials"], single_trials[best])
         print(f"\n  HR@5 all-paths {hr5_all:.4f}  singles {singles}")
+        print(f"  all paths - MP{best}: {diff.pretty()}")
         for mp_id, hr5 in singles.items():
             assert hr5_all >= hr5 - 0.02, f"MP{mp_id} beats the combination"
 

@@ -14,6 +14,7 @@ from hincrec.metapath import PathCorpus
 from hincrec.metrics import PolicyScorer
 from hincrec.model import ModelParams
 from hincrec.serialize import MAGIC
+from hincrec import cli
 
 SYNTH_CFG = """\
 users = 24
@@ -143,6 +144,22 @@ def test_train_eval_recommend_flow(workspace, capsys):
     assert rank == "1"
     assert concept.startswith("k")
     float(score)
+
+
+def test_train_passes_the_config_batch_to_reinforce(workspace, monkeypatch):
+    (workspace / "run.cfg").write_text(RUN_CFG.replace("batch = 4", "batch = 3"),
+                                       encoding="utf-8")
+    seen, real = [], cli.train_rl
+
+    def recording_train_rl(*args, **kwargs):
+        seen.append(kwargs["batch"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train_rl", recording_train_rl)
+    assert main(["train", "--config", str(workspace / "run.cfg"), "--data",
+                 str(workspace / "data"), "--ckpt", str(workspace / "model.bin"),
+                 "--from-scratch"]) == 0
+    assert seen == [3]
 
 
 def test_eval_random_scorer(workspace, capsys):

@@ -76,6 +76,20 @@ def test_generate_generates_the_sides_world(monkeypatch):
     assert ds.clicks == side.ds.clicks
 
 
+def test_a_name_loads_again_with_fresh_submodules(tmp_path):
+    shutil.copytree(ROOT / "src" / "hincrec", tmp_path / "hincrec",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    first = forward_pairs.load(ROOT / "src", "hincrec_twice")
+    second = forward_pairs.load(tmp_path, "hincrec_twice")
+    assert second is not first
+    for sub in forward_pairs.SUBMODULES:
+        module = getattr(second, sub)
+        assert module is not getattr(first, sub)
+        assert Path(module.__file__).parent == tmp_path / "hincrec"
+        assert sys.modules[f"hincrec_twice.{sub}"] is module
+    forward_pairs.Side(second, "acceptance", 0, 2)
+
+
 def test_blas_is_pinned_to_one_thread_before_numpy_loads():
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     # records the setting at the tool's first `import numpy`

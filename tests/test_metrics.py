@@ -19,6 +19,7 @@ from hincrec.metrics import (
     hit_ratio,
     mrr,
     ndcg,
+    paired_difference,
     rank_of_positive,
     score_trials,
 )
@@ -294,6 +295,72 @@ class TestProtocol:
             build_trials(positives, {}, 10, n_negatives, np.random.default_rng(0))
         with pytest.raises(ValueError, match="n_negatives"):
             evaluate(RandomScorer(0), positives, {}, 10, n_negatives=n_negatives, seed=0)
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [lambda t: hit_ratio(t, 5), lambda t: ndcg(t, 10), mrr, auc, aggregate],
+    ids=["hit_ratio", "ndcg", "mrr", "auc", "aggregate"],
+)
+def test_no_trials_raise_one_error(metric):
+    with pytest.raises(ValueError, match="^no trials$"):
+        metric([])
+
+
+# -- paired comparison -----------------------------------------------------------
+
+
+def ranked_as(ranks, positive=0):
+    """One trial per rank, trial i for user i over the same 100 candidates;
+    only the rank differs between two calls."""
+    return [
+        RankedTrial(NodeRef(U, i), positive, np.arange(100), np.zeros(100), rank)
+        for i, rank in enumerate(ranks)
+    ]
+
+
+class TestPairedDifference:
+    def test_identical_rankings_differ_by_nothing(self):
+        a = ranked_as([1, 6, 3, 12, 40])
+        diff = paired_difference(a, ranked_as([1, 6, 3, 12, 40]), rng=np.random.default_rng(0))
+        assert (diff.hr5, diff.ndcg10, diff.changed, diff.n_trials) == (0.0, 0.0, 0, 5)
+        assert diff.hr5_ci == (0.0, 0.0) and diff.ndcg10_ci == (0.0, 0.0)
+
+    def test_four_trials_by_hand(self):
+        # hits (1, 0, 1, 0) against (1, 1, 1, 1); trial 2 keeps its rank
+        a, b = ranked_as([1, 6, 3, 12]), ranked_as([2, 4, 3, 1])
+        diff = paired_difference(a, b, rng=np.random.default_rng(0))
+        assert diff.hr5 == -0.5
+        gains = [1 - 1 / math.log2(3), 1 / math.log2(7) - 1 / math.log2(5), 0.0, -1.0]
+        assert diff.ndcg10 == pytest.approx(sum(gains) / 4, abs=1e-15)
+        assert diff.changed == 3 and diff.n_trials == 4
+        # a resample's mean lies between the smallest and largest difference
+        assert -1.0 <= diff.hr5_ci[0] <= diff.hr5 <= diff.hr5_ci[1] <= 0.0
+        assert -1.0 <= diff.ndcg10_ci[0] <= diff.ndcg10 <= diff.ndcg10_ci[1] <= gains[0]
+        assert diff.hr5_ci[0] < diff.hr5_ci[1]
+
+    def test_same_seed_same_interval(self):
+        rng = np.random.default_rng(3)
+        a, b = ranked_as(rng.integers(1, 30, 50)), ranked_as(rng.integers(1, 30, 50))
+        first, second = (paired_difference(a, b, rng=np.random.default_rng(11)) for _ in range(2))
+        assert first == second
+        other = paired_difference(a, b, rng=np.random.default_rng(12))
+        assert (other.hr5, other.ndcg10, other.changed) == (first.hr5, first.ndcg10, first.changed)
+        assert (other.hr5_ci, other.ndcg10_ci) != (first.hr5_ci, first.ndcg10_ci)
+
+    @pytest.mark.parametrize("change", ["length", "user", "positive", "candidates"])
+    def test_other_trials_raise(self, change):
+        a, b = ranked_as([1, 2, 3]), ranked_as([1, 2, 3])
+        if change == "length":
+            b = b[:2]
+        elif change == "user":
+            b[1].user = NodeRef(U, 9)
+        elif change == "positive":
+            b[1].positive = 1
+        else:
+            b[2].candidates = b[2].candidates[::-1]
+        with pytest.raises(ValueError, match="same trials"):
+            paired_difference(a, b, rng=np.random.default_rng(0))
 
 
 # -- the vectorised ranks against bench/checks.brute_report --------------------

@@ -12,9 +12,13 @@ from hincrec.metapath import builtin_metapaths, metapath_neighbors
 from hincrec.model import init_model
 from hincrec.synth import SynthConfig, generate_synthetic
 from hincrec.data import holdout_targets
+from hincrec.autodiff import Tape
+from hincrec.policy import ActionSet, build_action_distribution
 from hincrec.training import (
     Adam,
+    first_steps,
     make_training_env,
+    objective_and_gradients,
     play_episode,
     pretrain,
     rollback_episode,
@@ -248,6 +252,7 @@ class TestTrainRL:
         assert sig.parameters["epsilon"].default == 0.18
         assert sig.parameters["lam"].default == 0.08
         assert sig.parameters["lr"].default == 1e-4
+        assert sig.parameters["batch"].default == 8
 
     def test_graph_restored_after_training(self):
         env, model, rng = small_world(seed=8)
@@ -346,6 +351,151 @@ class TestTrainRL:
             model, _ = train_rl(model, env, episodes=10, horizon=4, rng=rng)
             results.append(snapshot(model))
         assert_tensors_equal(results[0], results[1])
+
+
+def count_adam_steps(monkeypatch):
+    """Records the gradients of every Adam step from now on."""
+    steps = []
+    real = Adam.step
+
+    def counting(self, grads, maximize=False):
+        steps.append({k: g.copy() for k, g in grads.items()})
+        return real(self, grads, maximize)
+
+    monkeypatch.setattr(Adam, "step", counting)
+    return steps
+
+
+def copy_rng(rng):
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return twin
+
+
+class TestBatchedUpdates:
+    def test_one_adam_step_per_batch(self, monkeypatch):
+        env, model, rng = small_world(seed=7)
+        steps = count_adam_steps(monkeypatch)
+        _, stats = train_rl(model, env, episodes=20, horizon=4, batch=8, rng=rng)
+        assert len(steps) == 3
+        assert len(stats) == 20
+        # each episode's time is its update's share: 8, 8 and 4 episodes
+        for lo, hi in ((0, 8), (8, 16), (16, 20)):
+            assert len({s.seconds for s in stats[lo:hi]}) == 1
+        assert stats[0].seconds > 0
+
+    def test_a_batch_of_one_starts_as_one_user_does(self):
+        # the first step of an update of one, forward and backward, is bit
+        # for bit the single-user embedding and masked distribution
+        env, model, rng = small_world(seed=10)
+        scores = model.policy.tensors["policy.scores"]
+        scores[...] = rng.normal(0.0, 0.5, scores.shape)
+        for user in env.users[:5]:
+            (first,) = first_steps(model, env, [user])
+            tape = Tape()
+            leaves = model.leaves(tape)
+            u, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
+            dist = build_action_distribution(
+                tape, leaves, model.policy, u, ActionSet.full(env.n_concepts)
+            )
+            assert first.u.value.tobytes() == u.value.tobytes()
+            assert first.dist.value.tobytes() == dist.value.tobytes()
+            got, want = (
+                t.gradients(t.log(t.gather_row(d, 3)), lv)
+                for t, d, lv in ((first.tape, first.dist, first.leaves), (tape, dist, leaves))
+            )
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_a_batch_of_one_is_the_per_episode_loop(self):
+        env, model, rng = small_world(seed=10)
+        model, _ = pretrain(model, env, episodes=300, lr=1e-2, batch=8, rng=rng)
+        ref_model, ref_rng = model.copy(), copy_rng(rng)
+        adam, ref_stats = Adam(ref_model.tensors, 1e-2), []
+        for _ in range(40):
+            user = env.users[int(ref_rng.integers(len(env.users)))]
+            episode = play_episode(ref_model, env, user, 5, 0.3, 0.9, ref_rng)
+            result = objective_and_gradients(episode, 0.08)
+            adam.step(result.grads, maximize=True)
+            rollback_episode(env, episode)
+            ref_stats.append((episode.total_reward(), len(episode.steps),
+                              episode.embed_count, result.value))
+        _, stats = train_rl(model, env, episodes=40, horizon=5, epsilon=0.3, lr=1e-2,
+                            batch=1, rng=rng)
+        assert [(s.total_reward, s.length, s.embed_count, s.objective) for s in stats] == ref_stats
+        assert sum(s.embed_count for s in stats) > 40
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for name, want in ref_model.tensors.items():
+            assert model.tensors[name].tobytes() == want.tobytes(), name
+
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_is_rejected(self, batch):
+        env, model, rng = small_world(seed=7)
+        with pytest.raises(ValueError, match="batch"):
+            train_rl(model, env, episodes=4, batch=batch, rng=rng)
+
+    def test_update_equals_the_summed_episode_gradients(self, monkeypatch):
+        env, model, rng = small_world(seed=10)
+        # a policy that picks held-out clicks, so that episodes re-embed
+        model, _ = pretrain(model, env, episodes=300, lr=1e-2, batch=8, rng=rng)
+        before = snapshot(model)
+        horizon, epsilon, gamma, lam, lr = 5, 0.3, 0.9, 0.08, 1e-2
+        ref_model, ref_rng = model.copy(), copy_rng(rng)
+        users = [env.users[int(ref_rng.integers(len(env.users)))] for _ in range(8)]
+        total, episodes = None, []
+        for user in users:
+            episode = play_episode(ref_model, env, user, horizon, epsilon, gamma, ref_rng)
+            rollback_episode(env, episode)
+            grads = objective_and_gradients(episode, lam).grads
+            total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
+            episodes.append(episode)
+        Adam(ref_model.tensors, lr).step(total, maximize=True)
+        digest = env.graph.snapshot_digest()
+
+        steps = count_adam_steps(monkeypatch)
+        _, stats = train_rl(model, env, episodes=8, horizon=horizon, gamma=gamma,
+                            epsilon=epsilon, lam=lam, lr=lr, batch=8, rng=rng)
+        assert [(s.length, s.embed_count) for s in stats] == [
+            (len(e.steps), e.embed_count) for e in episodes
+        ]
+        assert sum(s.embed_count for s in stats) > 8  # some episodes re-embedded
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert env.graph.snapshot_digest() == digest
+        # the update ascends the sum of the episodes' objectives, not their mean
+        (grads,) = steps
+        for name, want in total.items():
+            np.testing.assert_allclose(grads[name], want, rtol=1e-10, atol=1e-15, err_msg=name)
+        for name, want in ref_model.tensors.items():
+            assert not np.array_equal(want, before[name]), name
+            np.testing.assert_allclose(model.tensors[name], want, rtol=1e-10, atol=0, err_msg=name)
+
+    def test_failed_rollout_leaves_no_edge_and_no_step(self, monkeypatch):
+        env, model, rng = small_world(seed=3)
+        user = env.users[0]
+        # every episode makes two correct steps, each writing a click edge
+        # and re-embedding the user; the third episode fails at its first
+        steer_onto_unwired(env, model, user, 2)
+        env.users = [user]
+        digest = env.graph.snapshot_digest()
+        bags = user_bags(env, user)
+        before = snapshot(model)
+        steps = count_adam_steps(monkeypatch)
+        calls = []
+
+        def failing_fifth_embedding(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 5:
+                raise RuntimeError("injected")
+            return build_user_embedding(*args, **kwargs)
+
+        monkeypatch.setattr(training, "build_user_embedding", failing_fifth_embedding)
+        with pytest.raises(RuntimeError, match="injected"):
+            train_rl(model, env, episodes=4, horizon=2, epsilon=0.0, batch=4, rng=rng)
+        assert len(calls) == 5
+        assert steps == []
+        assert env.graph.snapshot_digest() == digest
+        assert user_bags(env, user) == bags
+        assert_tensors_equal(snapshot(model), before)
 
 
 ADAM_SHAPES = {"w": (3, 4), "b": (5,), "empty": (0, 3), "cube": (2, 1, 3), "s": ()}

@@ -67,7 +67,10 @@ SUBMODULES = ("autodiff", "data", "embedding", "metapath", "metrics", "model", "
 
 def load(src: Path, name: str):
     """The ``hincrec`` package under `src`, imported as `name`, with the
-    submodules the measurements read loaded as its attributes."""
+    submodules the measurements read loaded as its attributes. A package
+    loaded before under `name` is dropped first, with its submodules."""
+    for key in [key for key in sys.modules if key == name or key.startswith(f"{name}.")]:
+        del sys.modules[key]
     pkg_dir = src / "hincrec"
     spec = importlib.util.spec_from_file_location(
         name, pkg_dir / "__init__.py", submodule_search_locations=[str(pkg_dir)]
