@@ -131,8 +131,10 @@ class Tape:
         return self._emit(out_val, backward)
 
     def scale(self, x, c) -> Var:
-        """Multiply x elementwise by a scalar (constant or scalar Var)."""
+        """Multiply x elementwise by a scalar: a constant, which gets no
+        gradient, or a scalar Var."""
         x = self._lift(x)
+        constant = not isinstance(c, Var)
         c = self._lift(c)
         if c.value.ndim != 0:
             raise ShapeMismatch("scale factor must be a scalar")
@@ -140,7 +142,8 @@ class Tape:
 
         def backward(g):
             _accum(x, g * c.value)
-            _accum(c, np.sum(g * x.value))
+            if not constant:
+                _accum(c, np.sum(g * x.value))
 
         return self._emit(out_val, backward)
 
@@ -211,12 +214,24 @@ class Tape:
 
         return self._emit(out_val, backward)
 
-    def vsum(self, x) -> Var:
+    def vsum(self, x, weights=None) -> Var:
+        """Sum of the entries of x or, with constant `weights` of x's
+        shape, of each entry times its weight."""
         x = self._lift(x)
-        out_val = np.asarray(np.sum(x.value))
+        if weights is None:
+            out_val = np.asarray(np.sum(x.value))
+
+            def backward(g):
+                _accum(x, np.broadcast_to(g, x.value.shape).copy())
+
+            return self._emit(out_val, backward)
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != x.value.shape:
+            raise ShapeMismatch(f"vsum weights {w.shape} for {x.value.shape}")
+        out_val = np.asarray(np.sum(x.value * w))
 
         def backward(g):
-            _accum(x, np.broadcast_to(g, x.value.shape).copy())
+            _accum(x, g * w)
 
         return self._emit(out_val, backward)
 
@@ -233,6 +248,24 @@ class Tape:
             if x.grad is None:
                 x.grad = np.zeros_like(x.value)
             x.grad[i] += g
+
+        return self._emit(out_val, backward)
+
+    def take(self, x, cols) -> Var:
+        """Entry ``cols[b]`` of each row b of a matrix: (B, K) -> (B,)."""
+        x = self._lift(x)
+        cols = np.asarray(cols, dtype=np.intp)
+        if x.value.ndim != 2 or cols.shape != x.value.shape[:1]:
+            raise ShapeMismatch(f"take of {cols.shape} columns from {x.value.shape}")
+        if cols.size and (cols.min() < 0 or cols.max() >= x.value.shape[1]):
+            raise ShapeMismatch(f"take column out of range 0..{x.value.shape[1] - 1}")
+        rows = np.arange(cols.size)
+        out_val = x.value[rows, cols]
+
+        def backward(g):
+            if x.grad is None:
+                x.grad = np.zeros_like(x.value)
+            x.grad[rows, cols] += g
 
         return self._emit(out_val, backward)
 
@@ -295,7 +328,7 @@ class Tape:
         rows = np.asarray(self_rows, dtype=np.intp)
         hn, pre, alpha = attention_weights(h.value, nbr_idx, mask, a.value, slope, rows)
         n_nodes, n_paths, heads, _ = alpha.shape
-        f = h.value.shape[1]
+        n, f = h.value.shape
         agg = alpha @ hn
         out_val = np.where(agg > 0, agg, slope * agg).reshape(n_nodes, n_paths, heads * f)
 
@@ -307,10 +340,8 @@ class Tape:
             g_pre = g_e * np.where(pre > 0, 1.0, slope)
             g_self = g_pre.sum(axis=-1).reshape(n_nodes, n_paths * heads)
             g_hn = alpha.swapaxes(-1, -2) @ g_agg + g_pre.swapaxes(-1, -2) @ a_nbr
-            g_h = np.zeros_like(h.value)
-            np.add.at(g_h, nbr_idx, g_hn)
-            np.add.at(g_h, rows, g_self @ a_self)
-            _accum(h, g_h)
+            g_rows = np.concatenate((g_hn.reshape(-1, f), g_self @ a_self))
+            _accum(h, scatter_rows(np.concatenate((nbr_idx.ravel(), rows)), g_rows, n))
             g_a_nbr = (g_pre @ hn).sum(axis=0)
             g_a_self = g_self.T @ h.value[rows]
             _accum(a, np.concatenate((g_a_self, g_a_nbr.reshape(-1, f)), axis=1))
@@ -363,6 +394,15 @@ class Tape:
             name: (v.grad if v.grad is not None else np.zeros_like(v.value))
             for name, v in leaves.items()
         }
+
+
+def scatter_rows(idx: np.ndarray, rows: np.ndarray, n: int) -> np.ndarray:
+    """The (n, f) sums of the rows of `rows` (m, f) by their row numbers
+    `idx` (m,), each added in order to zeros: ``np.add.at`` into zeros,
+    byte for byte, as one ``np.bincount``."""
+    f = rows.shape[1]
+    bins = (idx[:, None] * f + np.arange(f)).ravel()
+    return np.bincount(bins, weights=rows.ravel(), minlength=n * f).reshape(n, f)
 
 
 def attention_weights(

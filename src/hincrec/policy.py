@@ -103,9 +103,9 @@ def select_action(
     """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError("epsilon must be within [0, 1]")
-    avail = actions.indices()
-    if avail.size == 0:
+    if not actions.mask.any():
         raise EmptyActionSet("no available action to select")
     if rng.random() < epsilon:
+        avail = actions.indices()
         return int(avail[int(rng.integers(avail.size))])
     return int(np.argmax(dist))

@@ -62,19 +62,21 @@ def discounted_returns(rewards: list[float], gamma: float) -> list[float]:
 
 @dataclass
 class StepRecord:
+    """One step: the action, its reward and the distribution it was drawn
+    from, which is None at the first step, whose distribution is the
+    episode's row of its update's first-step matrix (`FirstStep`)."""
+
     action: int
-    log_prob: Var
     reward: float
-    dist: Var
+    dist: Optional[Var]
 
 
 @dataclass
 class Episode:
     user: NodeRef
+    first: FirstStep
     steps: list[StepRecord]
     gamma: float
-    tape: Tape
-    leaves: dict[str, Var]
     added_edges: list[tuple[NodeRef, NodeRef]]
     embed_count: int
 
@@ -90,39 +92,62 @@ class ObjectiveResult:
     grads: dict[str, np.ndarray]
 
 
-def _objective(episode: Episode, lam: float) -> tuple[Var, Var, Var]:
-    """The episode's objective, policy term and negative entropy as Vars
-    on its tape (see `objective_and_gradients`)."""
-    if not episode.steps:
+def _objective(
+    episodes: list[Episode], lam: float
+) -> tuple[Var, list[tuple[float, float, float]]]:
+    """The summed objective of an update's episodes on their tape, and each
+    episode's (objective, policy term, negative entropy) values.
+
+    `episodes` are the rows of their update's first-step distributions, in
+    order. The first steps' terms are a fixed handful of nodes over that
+    (B, K) matrix: the taken entries, their logs summed weighted by the
+    returns, and the summed p log p. A later step adds its own terms. Each
+    episode's values are summed from the node values as a chain of its own
+    steps would sum them (see `objective_and_gradients`).
+    """
+    first = episodes[0].first
+    if [e.first.row for e in episodes] != list(range(first.dists.value.shape[0])):
+        raise ValueError("episodes are not the rows of their update, in order")
+    if not all(e.steps for e in episodes):
         raise ValueError("episode has no steps")
-    tape = episode.tape
-    returns = discounted_returns([s.reward for s in episode.steps], episode.gamma)
-    pg = None
-    for rec, ret in zip(episode.steps, returns):
-        term = tape.scale(rec.log_prob, ret)
-        pg = term if pg is None else tape.vecadd(pg, term)
-    negent = None
-    for rec in episode.steps:
-        e = tape.vsum(tape.plogp(rec.dist))
-        negent = e if negent is None else tape.vecadd(negent, e)
-    return tape.vecadd(pg, tape.scale(negent, -lam)), pg, negent
+    tape = first.tape
+    returns = [discounted_returns([s.reward for s in e.steps], e.gamma) for e in episodes]
+    log_p = tape.log(tape.take(first.dists, [e.steps[0].action for e in episodes]))
+    pg = tape.vsum(log_p, [r[0] for r in returns])
+    plogp = tape.plogp(first.dists)
+    negent = tape.vsum(plogp)
+    later: list[list[tuple[Var, float, Var]]] = [[] for _ in episodes]
+    for terms, e, rets in zip(later, episodes, returns):
+        for rec, ret in zip(e.steps[1:], rets[1:]):
+            step_log_p = tape.log(tape.gather_row(rec.dist, rec.action))
+            step_negent = tape.vsum(tape.plogp(rec.dist))
+            pg = tape.vecadd(pg, tape.scale(step_log_p, ret))
+            negent = tape.vecadd(negent, step_negent)
+            terms.append((step_log_p, ret, step_negent))
+    total = tape.vecadd(pg, tape.scale(negent, -lam))
+    values = []
+    for b, (terms, rets) in enumerate(zip(later, returns)):
+        policy_term, entropy_raw = log_p.value[b] * rets[0], np.sum(plogp.value[b])
+        for step_log_p, ret, step_negent in terms:
+            policy_term = policy_term + step_log_p.value * ret
+            entropy_raw = entropy_raw + step_negent.value
+        values.append((
+            float(policy_term + entropy_raw * -lam), float(policy_term), float(entropy_raw)
+        ))
+    return total, values
 
 
 def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
-    """Build the episode objective on its tape and backpropagate.
+    """Build the objective of an update of one episode on its tape and
+    backpropagate.
 
     The objective is sum_t log pi(c_t|u_t) * R_t - lam * sum_t sum_c
     pi log pi, i.e. the entropy term is a bonus under maximization.
     Gradients come back per tensor name, pointing in the ascent direction.
     """
-    obj, pg, negent = _objective(episode, lam)
-    grads = episode.tape.gradients(obj, episode.leaves)
-    return ObjectiveResult(
-        value=float(obj.value),
-        policy_term=float(pg.value),
-        entropy_raw=float(negent.value),
-        grads=grads,
-    )
+    total, ((value, policy_term, entropy_raw),) = _objective([episode], lam)
+    grads = episode.first.tape.gradients(total, episode.first.leaves)
+    return ObjectiveResult(value, policy_term, entropy_raw, grads)
 
 
 class Adam:
@@ -226,13 +251,14 @@ def make_training_env(
 @dataclass(slots=True)
 class FirstStep:
     """One episode's start on its update's recording tape: the user's
-    embedding and unmasked action distribution, rows of the update's
-    batched pass."""
+    embedding, a row of the update's batched pass, and the update's
+    (B, K) unmasked action distributions, whose row `row` is the user's."""
 
     tape: Tape
     leaves: dict[str, Var]
     u: Var
-    dist: Var
+    dists: Var
+    row: int
 
 
 def first_steps(model: ModelParams, env: TrainingEnv, users: list[NodeRef]) -> list[FirstStep]:
@@ -246,10 +272,7 @@ def first_steps(model: ModelParams, env: TrainingEnv, users: list[NodeRef]) -> l
     hoods = [neighborhood(env.corpus, user, metapaths) for user in users]
     u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
     dist = tape.softmax(policy_logits(tape, leaves, u))
-    return [
-        FirstStep(tape, leaves, tape.gather_row(u, b), tape.gather_row(dist, b))
-        for b in range(len(users))
-    ]
+    return [FirstStep(tape, leaves, tape.gather_row(u, b), dist, b) for b in range(len(users))]
 
 
 def play_episode(
@@ -277,26 +300,25 @@ def play_episode(
     """
     if first is None:
         (first,) = first_steps(model, env, [user])
-    tape, leaves, u_var, dist = first.tape, first.leaves, first.u, first.dist
+    tape, leaves, u_var = first.tape, first.leaves, first.u
     episode = Episode(
         user=user,
+        first=first,
         steps=[],
         gamma=gamma,
-        tape=tape,
-        leaves=leaves,
         added_edges=[],
         embed_count=1,
     )
     rewalked = PathCorpus(env.corpus.metapaths)
     actions = ActionSet.full(env.n_concepts)
+    dist, probs = None, first.dists.value[first.row]
     t = 1
     try:
         while True:
-            action = select_action(dist.value, actions, epsilon, rng)
-            log_prob = tape.log(tape.gather_row(dist, action))
+            action = select_action(probs, actions, epsilon, rng)
             actions = actions.shrink(action)
             reward, mutated = step(env.graph, env.targets, user, action)
-            episode.steps.append(StepRecord(action, log_prob, reward, dist))
+            episode.steps.append(StepRecord(action, reward, dist))
             if mutated:
                 episode.added_edges.append((user, NodeRef(NodeType.CONCEPT, action)))
                 rewalked.resample_user(
@@ -308,6 +330,7 @@ def play_episode(
                 return episode
             t += 1
             dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
+            probs = dist.value
     except BaseException:
         rollback_episode(env, episode)
         raise
@@ -421,20 +444,17 @@ def train_rl(
             episode = play_episode(model, env, user, horizon, epsilon, gamma, rng, first=first)
             rollback_episode(env, episode)
             played.append(episode)
-        objectives = [_objective(episode, lam)[0] for episode in played]
-        tape = played[0].tape
-        total = objectives[0]
-        for obj in objectives[1:]:
-            total = tape.vecadd(total, obj)
-        adam.step(tape.gradients(total, played[0].leaves), maximize=True)
+        objective, values = _objective(played, lam)
+        first = played[0].first
+        adam.step(first.tape.gradients(objective, first.leaves), maximize=True)
         share = (time.perf_counter() - t0) / len(played)
-        for ep, (episode, obj) in enumerate(zip(played, objectives), start=lo + 1):
+        for ep, (episode, (value, _, _)) in enumerate(zip(played, values), start=lo + 1):
             total = episode.total_reward()
             stat = EpisodeStats(
                 total_reward=totals.setdefault(total, total),
                 length=len(episode.steps),
                 embed_count=episode.embed_count,
-                objective=float(obj.value),
+                objective=value,
                 seconds=share,
             )
             stats.append(stat)

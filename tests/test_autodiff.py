@@ -5,7 +5,7 @@ import pytest
 
 import unfused
 
-from hincrec.autodiff import ShapeMismatch, Tape, grad_check
+from hincrec.autodiff import ShapeMismatch, Tape, grad_check, scatter_rows
 
 
 def leaf_pair(*arrays):
@@ -109,6 +109,15 @@ class TestForward:
             tape.softmax(x, [[True, False, False], [False, False, False]])
         with pytest.raises(ShapeMismatch):
             tape.softmax(x, [True, False, True])
+        # one column per row, each inside the row; weights of x's shape
+        with pytest.raises(ShapeMismatch):
+            tape.take(x, [0])
+        with pytest.raises(ShapeMismatch):
+            tape.take(x, [0, 3])
+        with pytest.raises(ShapeMismatch):
+            tape.take(tape.leaf([1.0, 2.0]), [0, 1])
+        with pytest.raises(ShapeMismatch):
+            tape.vsum(x, [1.0, 2.0, 3.0])
 
     def test_concat_rows_of_matrices(self):
         tape, (a, b) = leaf_pair(np.ones((2, 3)), np.zeros((1, 3)))
@@ -165,6 +174,28 @@ class TestForward:
         s = tape.vsum(row)
         tape.backward(s)
         assert np.array_equal(m.grad, [[0, 0], [0, 0], [1, 1]])
+
+    def test_take_and_weighted_sum(self):
+        tape = Tape()
+        m = tape.leaf(np.arange(6.0).reshape(3, 2))
+        picked = tape.take(m, [1, 0, 1])
+        assert np.array_equal(picked.value, [1.0, 2.0, 5.0])
+        s = tape.vsum(picked, [0.5, -1.0, 2.0])
+        assert s.value == 0.5 - 2.0 + 10.0
+        tape.backward(s)
+        assert np.array_equal(m.grad, [[0, 0.5], [-1.0, 0], [0, 2.0]])
+
+    def test_scatter_rows_is_add_at_bytewise(self):
+        # rows of neighborhoods padded with the attending user's own row, as
+        # the embedding pads them, then the users' rows; node 6 gets none
+        nbr = np.array([[[0, 3, 0, 0], [0, 5, 2, 0]], [[1, 4, 4, 1], [1, 1, 1, 1]]])
+        idx = np.concatenate((nbr.ravel(), [0, 1]))
+        rng = np.random.default_rng(11)
+        rows = rng.normal(size=(idx.size, 3)) * 10.0 ** rng.integers(-8, 9, (idx.size, 1))
+        rows[[2, 9], 1] = -0.0
+        want = np.zeros((7, 3))
+        np.add.at(want, idx, rows)
+        assert scatter_rows(idx, rows, 7).tobytes() == want.tobytes()
 
 
 class TestGradCheck:
@@ -273,6 +304,14 @@ class TestGradCheck:
         @case("scale_var")
         def _(t, lv):
             return t.vsum(t.scale(lv["x"], lv["s"]))
+
+        @case("take")
+        def _(t, lv):
+            return t.vsum(t.tanh(t.take(lv["A"], [2, 0, 1, 2])))
+
+        @case("vsum_weighted")
+        def _(t, lv):
+            return t.vsum(t.tanh(lv["x"]), [0.5, -2.0, 1.5])
 
         @case("leaky")
         def _(t, lv):

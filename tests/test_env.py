@@ -17,6 +17,7 @@ from hincrec.training import (
     Episode,
     StepRecord,
     discounted_returns,
+    first_steps,
     make_training_env,
     objective_and_gradients,
     step,
@@ -99,25 +100,23 @@ class TestReturns:
 
 
 def scripted_episode(model, env, user, actions_rewards, gamma=0.9):
-    """Record an episode with a forced action sequence (graph untouched)."""
-    from hincrec.embedding import build_user_embedding
-
-    tape = Tape()
-    leaves = model.leaves(tape)
-    u_var, _ = build_user_embedding(tape, leaves, model.embed, env.corpus, user)
+    """Record an episode with a forced action sequence (graph untouched):
+    an update of one, whose first step is the user's row of `first_steps`
+    and whose later steps mask the actions taken before them."""
+    (first,) = first_steps(model, env, [user])
     actions = ActionSet.full(env.n_concepts)
     steps = []
     for action, reward in actions_rewards:
-        dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
-        logp = tape.log(tape.gather_row(dist, action))
-        steps.append(StepRecord(action, logp, reward, dist))
+        dist = None
+        if steps:
+            dist = build_action_distribution(first.tape, first.leaves, model.policy, first.u, actions)
+        steps.append(StepRecord(action, reward, dist))
         actions = actions.shrink(action)
     return Episode(
         user=user,
+        first=first,
         steps=steps,
         gamma=gamma,
-        tape=tape,
-        leaves=leaves,
         added_edges=[],
         embed_count=1,
     )

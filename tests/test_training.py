@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import unfused
 from oracles import TextbookAdam
 
 from hincrec import embedding, training
@@ -45,6 +46,23 @@ def small_world(seed=0, dim=8, heads=2):
         EmbedConfig(dim=dim, heads=heads, feat_dim=8, path_hidden=16),
         rng=rng,
     )
+    return env, model, rng
+
+
+def reinforce_world(seed=5):
+    """The benchmark's 4x world (K = 200), with a drawn score table."""
+    ds = generate_synthetic(SynthConfig(
+        users=800, concepts=200, clusters=20, courses=40, videos=80, seed=7
+    ))
+    hold = holdout_targets(ds, 0.5)
+    rng = np.random.default_rng(seed)
+    env = make_training_env(
+        hold.graph, hold.targets, builtin_metapaths(),
+        walks_per_path=10, max_walk_len=5, rng=rng,
+    )
+    model = init_model(hold.graph, builtin_metapaths(), EmbedConfig(), rng=rng)
+    scores = model.policy.tensors["policy.scores"]
+    scores[...] = rng.normal(0.0, 1.0 / np.sqrt(scores.shape[1]), scores.shape)
     return env, model, rng
 
 
@@ -399,11 +417,10 @@ class TestBatchedUpdates:
                 tape, leaves, model.policy, u, ActionSet.full(env.n_concepts)
             )
             assert first.u.value.tobytes() == u.value.tobytes()
-            assert first.dist.value.tobytes() == dist.value.tobytes()
-            got, want = (
-                t.gradients(t.log(t.gather_row(d, 3)), lv)
-                for t, d, lv in ((first.tape, first.dist, first.leaves), (tape, dist, leaves))
-            )
+            assert first.dists.value[first.row].tobytes() == dist.value.tobytes()
+            t = first.tape
+            got = t.gradients(t.vsum(t.log(t.take(first.dists, [3]))), first.leaves)
+            want = tape.gradients(tape.log(tape.gather_row(dist, 3)), leaves)
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
@@ -468,6 +485,43 @@ class TestBatchedUpdates:
         for name, want in ref_model.tensors.items():
             assert not np.array_equal(want, before[name]), name
             np.testing.assert_allclose(model.tensors[name], want, rtol=1e-10, atol=0, err_msg=name)
+
+    @pytest.mark.parametrize("forced", [False, True])
+    def test_update_gradient_is_the_per_step_chains(self, monkeypatch, forced):
+        # Byte for byte, the update's gradient and each episode's objective
+        # are those of a chain of scalar nodes per step (tests/unfused.py).
+        # Unforced: the 4x world of the benchmark, with a drawn score table
+        # so that logits do not tie. Forced: one user's episodes make two
+        # correct steps, so that later steps, re-embedded, are in the sum.
+        if forced:
+            env, model, rng = small_world(seed=3)
+            steer_onto_unwired(env, model, env.users[0], 2)
+            env.users = env.users[:3]
+            kw = dict(horizon=3, epsilon=0.0)
+        else:
+            env, model, rng = reinforce_world()
+            kw = dict(horizon=20, epsilon=0.18)
+        ref_model, ref_rng = model.copy(), copy_rng(rng)
+        steps = count_adam_steps(monkeypatch)
+        _, stats = train_rl(model, env, episodes=24, batch=8, rng=rng, **kw)
+        updates = list(steps)
+        adam = Adam(ref_model.tensors, 1e-4)
+        for lo, got in zip(range(0, 24, 8), updates, strict=True):
+            users = [env.users[int(ref_rng.integers(len(env.users)))] for _ in range(8)]
+            played = []
+            for user, first in zip(users, first_steps(ref_model, env, users)):
+                played.append(play_episode(ref_model, env, user, gamma=0.9, rng=ref_rng,
+                                           first=first, **kw))
+                rollback_episode(env, played[-1])
+            total, objectives = unfused.update_objective(played, 0.08)
+            grads = played[0].first.tape.gradients(total, played[0].first.leaves)
+            assert [s.objective for s in stats[lo:lo + 8]] == objectives
+            for name, want in grads.items():
+                assert got[name].tobytes() == want.tobytes(), name
+            adam.step(grads, maximize=True)
+        if forced:
+            assert max(s.length for s in stats) == 3
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_failed_rollout_leaves_no_edge_and_no_step(self, monkeypatch):
         env, model, rng = small_world(seed=3)

@@ -17,6 +17,11 @@ So do the numpy-facing views of single stages that only the tests read:
 one node's projection, one node's attention weights over a given
 neighborhood, one meta-path's aggregation, the path-level weights of
 given embeddings and the action distribution of a vector.
+
+``update_objective`` is the REINFORCE objective of an update built the
+long way too, as a chain of scalar nodes per step, the reference that
+``hincrec.training``'s objective over the first-step matrix is checked
+against.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from hincrec.embedding import EmbedParams, UserEmbedding, _layout, _project, nei
 from hincrec.graph import HinGraph, NodeRef, node_key
 from hincrec.metapath import RETRY_FACTOR, MetaPath, PathCorpus
 from hincrec.policy import ActionSet, PolicyParams, build_action_distribution
+from hincrec.training import Episode, discounted_returns
 
 
 # -- primitives used only by the unfused composition --------------------------
@@ -293,3 +299,35 @@ def action_distribution(
     tape = Tape(record=False)
     leaves = _const_leaves(tape, policy.tensors)
     return build_action_distribution(tape, leaves, policy, tape.leaf(vec), actions).value
+
+
+# -- the REINFORCE objective as scalar nodes -------------------------------------
+
+
+def update_objective(episodes: Sequence[Episode], lam: float) -> tuple[Var, list[float]]:
+    """The summed objective of an update's episodes on their tape, and each
+    episode's objective value, as per-step scalar nodes: every step's
+    distribution is a vector (a first step's is its row of the first-step
+    matrix), ``log`` of its taken entry is ``scale``d by the step's return,
+    and ``vsum(plogp)`` of it is its negative entropy; the episode's terms
+    and then the episodes' objectives are chained by ``vecadd``."""
+    tape = episodes[0].first.tape
+    objectives = []
+    for episode in episodes:
+        first = episode.first
+        returns = discounted_returns([s.reward for s in episode.steps], episode.gamma)
+        dists = [tape.gather_row(first.dists, first.row)]
+        dists += [rec.dist for rec in episode.steps[1:]]
+        pg = None
+        for rec, dist, ret in zip(episode.steps, dists, returns):
+            term = tape.scale(tape.log(tape.gather_row(dist, rec.action)), ret)
+            pg = term if pg is None else tape.vecadd(pg, term)
+        negent = None
+        for dist in dists:
+            e = tape.vsum(tape.plogp(dist))
+            negent = e if negent is None else tape.vecadd(negent, e)
+        objectives.append(tape.vecadd(pg, tape.scale(negent, -lam)))
+    total = objectives[0]
+    for obj in objectives[1:]:
+        total = tape.vecadd(total, obj)
+    return total, [float(obj.value) for obj in objectives]

@@ -20,9 +20,8 @@ pairs and the change first on odd ones:
 - ``forward``: one user's forward-only ``user_embedding`` from a corpus
   that holds the user's bags and nothing derived from them, as a
   ``recommend`` request embeds after its walks;
-- ``rl_step``: one user's embedding from the training corpus, the masked
-  action distribution, the log-probability of the greedy concept and the
-  entropy term, then the backward pass: the first step of an RL episode;
+- ``rl_update``: ``train_rl`` in updates of 8 episodes, Adam included,
+  timed per episode;
 - ``pretrain_batch``: one ``pretrain`` episode of 8 users, Adam included;
 - ``evaluate``: the ``hincrec eval`` protocol over the temporal split's
   test users, as ``bench/workloads.py`` runs it: the corpus build, the
@@ -30,9 +29,10 @@ pairs and the change first on odd ones:
   ``score_trials`` and ``aggregate``; one run per figure.
 
 Except for ``generate``, ``setup`` and ``evaluate``, a pair's figure is
-the mean over ``--users`` users (or batches). The table gives each
-side's median over the pairs in microseconds, the change/parent ratio of
-the medians and the median of the pairs' ratios. BLAS runs on one
+the mean over ``--users`` users, ``pretrain`` batches or ``train_rl``
+updates; ``rl_update``'s is per episode of those updates. The table
+gives each side's median over the pairs in microseconds, the
+change/parent ratio of the medians and the median of the pairs' ratios. BLAS runs on one
 thread, as ``bench/run.py`` pins it, unless ``OPENBLAS_NUM_THREADS`` is
 set.
 """
@@ -60,9 +60,8 @@ WORLDS = {
     # bench/workloads.py's 4x world
     "reinforce": dict(users=800, concepts=200, clusters=20, courses=40, videos=80, seed=7),
 }
-WALKS, WALK_LEN, BATCH, LAM, NEGATIVES = 10, 5, 8, 0.08, 99
-SUBMODULES = ("autodiff", "data", "embedding", "metapath", "metrics", "model", "policy",
-              "synth", "training")
+WALKS, WALK_LEN, BATCH, NEGATIVES = 10, 5, 8, 99
+SUBMODULES = ("data", "embedding", "metapath", "metrics", "model", "synth", "training")
 
 
 def load(src: Path, name: str):
@@ -145,19 +144,11 @@ class Side:
             pkg.embedding.user_embedding(self.model.embed, env.graph, corpus, user)
         return (time.perf_counter() - t0) / len(self.users)
 
-    def rl_step(self) -> float:
-        pkg, env, model = self.pkg, self.env, self.model
-        actions = pkg.policy.ActionSet.full(env.n_concepts)
+    def rl_update(self) -> float:
+        n = BATCH * len(self.users)
         t0 = time.perf_counter()
-        for user in self.users:
-            tape = pkg.autodiff.Tape()
-            leaves = model.leaves(tape)
-            u, _ = pkg.training.build_user_embedding(tape, leaves, model.embed, env.corpus, user)
-            dist = pkg.policy.build_action_distribution(tape, leaves, model.policy, u, actions)
-            log_prob = tape.log(tape.gather_row(dist, int(np.argmax(dist.value))))
-            entropy = tape.scale(tape.vsum(tape.plogp(dist)), -LAM)
-            tape.gradients(tape.vecadd(log_prob, entropy), leaves)
-        return (time.perf_counter() - t0) / len(self.users)
+        self.pkg.training.train_rl(self.model, self.env, episodes=n, batch=BATCH, rng=self.rng)
+        return (time.perf_counter() - t0) / n
 
     def pretrain_batch(self) -> float:
         n = len(self.users)
@@ -182,7 +173,7 @@ class Side:
         return time.perf_counter() - t0
 
 
-MEASUREMENTS = ("generate", "setup", "walks", "forward", "rl_step", "pretrain_batch", "evaluate")
+MEASUREMENTS = ("generate", "setup", "walks", "forward", "rl_update", "pretrain_batch", "evaluate")
 
 
 def run_pairs(sides: dict[str, Side], pairs: int) -> dict[str, dict[str, list[float]]]:
