@@ -35,8 +35,11 @@ class Var:
 
 def _accum(var: Var, g: np.ndarray) -> None:
     if var.grad is None:
-        var.grad = np.zeros_like(var.value)
-    var.grad += g
+        # zeros + g in one pass, bit for bit (-0.0 included), into an array
+        # of its own: a caller may hand the same g to several inputs
+        var.grad = np.add(g, 0.0, out=np.empty_like(var.value))
+    else:
+        var.grad += g
 
 
 class Tape:
@@ -222,7 +225,7 @@ class Tape:
             out_val = np.asarray(np.sum(x.value))
 
             def backward(g):
-                _accum(x, np.broadcast_to(g, x.value.shape).copy())
+                _accum(x, g)
 
             return self._emit(out_val, backward)
         w = np.asarray(weights, dtype=np.float64)
@@ -389,6 +392,9 @@ class Tape:
                 node._backward(node.grad)
 
     def gradients(self, out: Var, leaves: dict[str, Var]) -> dict[str, np.ndarray]:
+        """Backpropagate from `out` and return each leaf's gradient. A leaf
+        whose `.grad` was preset (`ModelParams.training_leaves`) returns
+        that array, which the model clears for its next update."""
         self.backward(out)
         return {
             name: (v.grad if v.grad is not None else np.zeros_like(v.value))

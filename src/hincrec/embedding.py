@@ -87,11 +87,6 @@ class EmbedParams:
         params.tensors = tensors
         return params
 
-    def copy(self) -> "EmbedParams":
-        return EmbedParams.from_tensors(
-            self.cfg, self.metapaths, {k: v.copy() for k, v in self.tensors.items()}
-        )
-
 
 # The key of each node type's first node, after the first type's.
 _TYPE_STARTS = np.arange(1, len(TYPE_ORDER), dtype=np.int64) << KEY_SHIFT

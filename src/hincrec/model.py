@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Optional, Union
 
@@ -15,12 +16,58 @@ from .policy import PolicyParams
 from .serialize import CheckpointError, load_tensors, save_tensors
 
 
-class ModelParams:
-    """Everything learnable, as one named-tensor dictionary."""
+class FlatParams:
+    """Named float64 tensors stored, in their order, as reshaped views of
+    one vector `theta`.
+
+    Training adds buffers of the same layout (`training_buffers`): the
+    flat gradient `grad`, whose views by name are `grads`, and Adam's
+    `moments` (m, v and a scratch vector). Forward-only use never
+    allocates them, so they stay None.
+    """
+
+    def __init__(self, tensors: dict[str, np.ndarray]):
+        self.shapes = {name: np.shape(arr) for name, arr in tensors.items()}
+        arrays = [np.ravel(arr) for arr in tensors.values()]
+        self.theta = np.concatenate(arrays, dtype=np.float64) if arrays else np.empty(0)
+        self.views = self._named(self.theta)
+        self.grad: Optional[np.ndarray] = None
+        self.grads: Optional[dict[str, np.ndarray]] = None
+        self.moments: Optional[tuple[np.ndarray, np.ndarray, np.ndarray]] = None
+
+    def _named(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Views of `flat`, by tensor name, in the layout of `theta`."""
+        views, lo = {}, 0
+        for name, shape in self.shapes.items():
+            hi = lo + math.prod(shape)
+            views[name] = flat[lo:hi].reshape(shape)
+            lo = hi
+        return views
+
+    def training_buffers(self) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The gradient and Adam's (m, v, scratch), all zero: allocated on
+        the first call and zero-filled on each later one."""
+        if self.grad is None:
+            self.grad = np.zeros_like(self.theta)
+            self.grads = self._named(self.grad)
+            self.moments = tuple(np.zeros_like(self.theta) for _ in range(3))
+        else:
+            for buf in (self.grad, *self.moments):
+                buf.fill(0.0)
+        return self.grad, self.moments
+
+
+class ModelParams(FlatParams):
+    """Everything learnable: the embedding's tensors, then the policy's, as
+    views of one flat vector that their own dictionaries hold."""
 
     def __init__(self, embed: EmbedParams, policy: PolicyParams):
+        super().__init__({**embed.tensors, **policy.tensors})
         self.embed = embed
         self.policy = policy
+        for part in (embed.tensors, policy.tensors):
+            for name in part:
+                part[name] = self.views[name]
 
     @property
     def tensors(self) -> dict[str, np.ndarray]:
@@ -31,8 +78,34 @@ class ModelParams:
     def leaves(self, tape: Tape) -> dict[str, Var]:
         return {name: tape.leaf(arr) for name, arr in self.tensors.items()}
 
+    def training_leaves(self, tape: Tape) -> dict[str, Var]:
+        """Leaves of the parameters whose `.grad` is preset to their view of
+        the flat gradient, cleared, so that a backward pass adds into
+        `grad`. A tensor that was rebound in its dictionary is no longer a
+        view of `theta` and cannot be trained: it raises ValueError."""
+        for part in (self.embed.tensors, self.policy.tensors):
+            for name, arr in part.items():
+                if arr is not self.views.get(name):
+                    raise ValueError(
+                        f"tensor {name} was rebound and is no longer a view of the "
+                        "model's parameter vector; write into it in place to train it"
+                    )
+        if self.grad is None:
+            self.training_buffers()
+        self.grad.fill(0.0)
+        leaves = {}
+        for (name, view), grad in zip(self.views.items(), self.grads.values()):
+            leaves[name] = leaf = tape.leaf(view)
+            leaf.grad = grad
+        return leaves
+
     def copy(self) -> "ModelParams":
-        return ModelParams(self.embed.copy(), self.policy.copy())
+        """An independent model, whose vector is one copy of this model's
+        tensors."""
+        return ModelParams(
+            EmbedParams.from_tensors(self.embed.cfg, self.embed.metapaths, dict(self.embed.tensors)),
+            PolicyParams.from_tensors(dict(self.policy.tensors)),
+        )
 
     # -- checkpoint IO ---------------------------------------------------
 

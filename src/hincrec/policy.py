@@ -64,9 +64,6 @@ class PolicyParams:
     def n_concepts(self) -> int:
         return self.tensors["policy.scores"].shape[0]
 
-    def copy(self) -> "PolicyParams":
-        return PolicyParams.from_tensors({k: v.copy() for k, v in self.tensors.items()})
-
 
 def policy_logits(tape: Tape, leaves: dict[str, Var], u: Var) -> Var:
     """Concept logits scores @ u + bias of a user vector `u` (dim,), or

@@ -20,7 +20,7 @@ import numpy as np
 from .autodiff import Tape, Var
 from .graph import HinGraph, NodeRef, NodeType, Relation
 from .metapath import MetaPath, PathCorpus
-from .model import ModelParams
+from .model import FlatParams, ModelParams
 from .embedding import build_user_embedding, build_user_embeddings, neighborhood
 from .policy import ActionSet, build_action_distribution, policy_logits, select_action
 
@@ -143,52 +143,41 @@ def objective_and_gradients(episode: Episode, lam: float) -> ObjectiveResult:
 
     The objective is sum_t log pi(c_t|u_t) * R_t - lam * sum_t sum_c
     pi log pi, i.e. the entropy term is a bonus under maximization.
-    Gradients come back per tensor name, pointing in the ascent direction.
+    Gradients come back per tensor name, pointing in the ascent direction,
+    copied out of the model's flat gradient, which its next update clears.
     """
     total, ((value, policy_term, entropy_raw),) = _objective([episode], lam)
     grads = episode.first.tape.gradients(total, episode.first.leaves)
-    return ObjectiveResult(value, policy_term, entropy_raw, grads)
+    return ObjectiveResult(value, policy_term, entropy_raw, {k: g.copy() for k, g in grads.items()})
 
 
 class Adam:
-    """Standard Adam with bias correction over the arrays it is built on.
+    """Standard Adam with bias correction over the flat vector `theta` of
+    `params`, from its flat gradient `grad`.
 
-    Construction lays `tensors` out, in their order, in flat buffers: the
-    two moments, the gradient and a scratch row. A step is then a fixed
-    number of in-place passes over those buffers, however many tensors
-    there are, with the per-element arithmetic of the textbook per-tensor
-    step, and updates the arrays of `tensors` in place.
+    Construction takes the params' training buffers, zeroed, so every
+    Adam starts from zero moments. A step is a fixed number of in-place
+    passes over theta, the gradient, the two moments and a scratch
+    vector, with the per-element arithmetic of the textbook per-tensor
+    step. It consumes the gradient, which holds scratch values after it.
     """
 
-    def __init__(self, tensors: dict[str, np.ndarray], lr: float):
+    def __init__(self, params: FlatParams, lr: float):
+        self.params = params
         self.lr = lr
         self.t = 0
-        size = sum(arr.size for arr in tensors.values())
-        self._m, self._v, self._g, self._s = (np.zeros(size) for _ in range(4))
-        # (name, array, its view of _g, its view of _s) per tensor
-        self._slots: list[tuple[str, np.ndarray, np.ndarray, np.ndarray]] = []
-        lo = 0
-        for name, arr in tensors.items():
-            hi = lo + arr.size
-            self._slots.append((
-                name,
-                arr,
-                self._g[lo:hi].reshape(arr.shape),
-                self._s[lo:hi].reshape(arr.shape),
-            ))
-            lo = hi
+        self._g, (self._m, self._v, self._s) = params.training_buffers()
 
-    def step(self, grads: dict[str, np.ndarray], maximize: bool = False) -> None:
-        """One update from a gradient per tensor; raises FloatingPointError,
-        with nothing changed, when a gradient entry is not finite."""
+    def step(self, maximize: bool = False) -> None:
+        """One update from the gradient in `params.grad`; raises
+        FloatingPointError, with nothing changed, when a gradient entry is
+        not finite."""
         m, v, g, s = self._m, self._v, self._g, self._s
-        for name, _, g_view, _ in self._slots:
-            g_view[...] = grads[name]
+        if not np.isfinite(g).all():
+            bad = next(n for n, gv in self.params.grads.items() if not np.isfinite(gv).all())
+            raise FloatingPointError(f"non-finite gradient for {bad}")
         if maximize:
             np.negative(g, out=g)
-        if not np.isfinite(g).all():
-            bad = next(n for n, _, gv, _ in self._slots if not np.isfinite(gv).all())
-            raise FloatingPointError(f"non-finite gradient for {bad}")
         self.t += 1
         b1, b2 = ADAM_BETA1, ADAM_BETA2
         m *= b1
@@ -205,8 +194,7 @@ class Adam:
         np.sqrt(g, out=g)
         g += ADAM_EPS
         s /= g
-        for _, arr, _, s_view in self._slots:
-            arr -= s_view
+        self.params.theta -= s
 
 
 @dataclass
@@ -250,9 +238,9 @@ def make_training_env(
 
 @dataclass(slots=True)
 class FirstStep:
-    """One episode's start on its update's recording tape: the user's
-    embedding, a row of the update's batched pass, and the update's
-    (B, K) unmasked action distributions, whose row `row` is the user's."""
+    """One episode's start on its update's recording tape: the update's
+    (B, dim) user embeddings and (B, K) unmasked action distributions,
+    whose row `row` is the episode's user's."""
 
     tape: Tape
     leaves: dict[str, Var]
@@ -262,17 +250,18 @@ class FirstStep:
 
 
 def first_steps(model: ModelParams, env: TrainingEnv, users: list[NodeRef]) -> list[FirstStep]:
-    """Opens one recording tape and embeds `users` on it in one
-    `build_user_embeddings` pass over the neighborhood keys that
-    `env.corpus` keeps, with one logit product and one softmax; every
-    action is open at a first step, so nothing is masked."""
+    """Opens one recording tape, on the model's `training_leaves`, and
+    embeds `users` on it in one `build_user_embeddings` pass over the
+    neighborhood keys that `env.corpus` keeps, with one logit product and
+    one softmax; every action is open at a first step, so nothing is
+    masked."""
     tape = Tape()
-    leaves = model.leaves(tape)
+    leaves = model.training_leaves(tape)
     metapaths = model.embed.metapaths
     hoods = [neighborhood(env.corpus, user, metapaths) for user in users]
     u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
     dist = tape.softmax(policy_logits(tape, leaves, u))
-    return [FirstStep(tape, leaves, tape.gather_row(u, b), dist, b) for b in range(len(users))]
+    return [FirstStep(tape, leaves, u, dist, b) for b in range(len(users))]
 
 
 def play_episode(
@@ -295,12 +284,14 @@ def play_episode(
     never after the episode-ending incorrect one, the user's walks are
     redrawn against the changed graph into a corpus of the episode's own,
     and the user is embedded again from it; env.corpus is never written.
-    Call `rollback_episode` afterwards to remove the edges; if the
-    rollout raises, they are removed before the error propagates.
+    Until then, a later step reads the user's row of `first.u`, cut from
+    it when first read. Call `rollback_episode` afterwards to remove the
+    edges; if the rollout raises, they are removed before the error
+    propagates.
     """
     if first is None:
         (first,) = first_steps(model, env, [user])
-    tape, leaves, u_var = first.tape, first.leaves, first.u
+    tape, leaves, u_var = first.tape, first.leaves, None
     episode = Episode(
         user=user,
         first=first,
@@ -329,6 +320,8 @@ def play_episode(
             if reward < 0 or t >= horizon or actions.count() == 0:
                 return episode
             t += 1
+            if u_var is None:
+                u_var = tape.gather_row(first.u, first.row)
             dist = build_action_distribution(tape, leaves, model.policy, u_var, actions)
             probs = dist.value
     except BaseException:
@@ -377,13 +370,13 @@ def pretrain(
     ]
     if not instances:
         raise ValueError("no (user, target) pairs to pretrain on")
-    adam = Adam(model.tensors, lr)
+    adam = Adam(model, lr)
     metapaths = model.embed.metapaths
     losses: list[float] = []
     for ep in range(episodes):
         picks = [instances[int(rng.integers(len(instances)))] for _ in range(batch)]
         tape = Tape()
-        leaves = model.leaves(tape)
+        leaves = model.training_leaves(tape)
         hoods = [neighborhood(env.corpus, user, metapaths) for user, _ in picks]
         u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
         logits = policy_logits(tape, leaves, u)
@@ -392,8 +385,8 @@ def pretrain(
             raise FloatingPointError(
                 f"non-finite pretrain loss {float(loss.value)} in episode {ep + 1}"
             )
-        grads = tape.gradients(loss, leaves)
-        adam.step(grads, maximize=False)
+        tape.gradients(loss, leaves)  # into model.grad
+        adam.step(maximize=False)
         losses.append(float(loss.value))
         if (ep + 1) % 500 == 0:
             recent = float(np.mean(losses[-500:]))
@@ -428,7 +421,7 @@ def train_rl(
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
-    adam = Adam(model.tensors, lr)
+    adam = Adam(model, lr)
     stats: list[EpisodeStats] = []
     # Totals take a few values (rewards are +-1); the records share one
     # float per value, so a caller that keeps every record keeps less.
@@ -446,7 +439,8 @@ def train_rl(
             played.append(episode)
         objective, values = _objective(played, lam)
         first = played[0].first
-        adam.step(first.tape.gradients(objective, first.leaves), maximize=True)
+        first.tape.gradients(objective, first.leaves)  # into model.grad
+        adam.step(maximize=True)
         share = (time.perf_counter() - t0) / len(played)
         for ep, (episode, (value, _, _)) in enumerate(zip(played, values), start=lo + 1):
             total = episode.total_reward()

@@ -484,3 +484,38 @@ class TestTapeMechanics:
         y = tape.scale(x, 3.0)
         tape.backward(y)
         assert y.grad == pytest.approx(1.0)
+
+    def test_a_gradient_handed_to_two_inputs_is_not_shared(self):
+        # y's backward hands one array to both of its inputs; a's later
+        # gradient from c must not reach b through it
+        tape = Tape()
+        x, w = tape.leaf([0.5, -1.0]), tape.leaf([2.0, 0.25])
+        a, b = tape.tanh(x), tape.tanh(w)
+        c = tape.scale(a, 3.0)
+        y = tape.vecadd(a, b)
+        tape.backward(tape.vecadd(tape.vsum(y), tape.vsum(c)))
+        assert np.array_equal(a.grad, [4.0, 4.0])
+        assert np.array_equal(b.grad, [1.0, 1.0])
+
+    def test_first_gradient_is_zeros_plus_g(self):
+        # a node's first gradient is 0.0 + g: -0.0 arrives as +0.0, as it
+        # did when it was added into a zero buffer
+        tape = Tape()
+        a = tape.tanh(tape.leaf([1.0, -2.0]))
+        tape.backward(tape.vsum(tape.scale(a, -0.0)))
+        assert a.grad.tolist() == [0.0, 0.0]
+        assert not np.signbit(a.grad).any()
+
+    def test_preset_leaf_gradient_accumulates_in_place(self):
+        # leaves whose .grad are views of one flat vector, as a model's
+        # training leaves are, add into that vector
+        tape = Tape()
+        m = tape.leaf(np.arange(6.0).reshape(3, 2))
+        v = tape.leaf([1.0, 2.0, 3.0])
+        grads = np.zeros(9)
+        m.grad, v.grad = grads[:6].reshape(3, 2), grads[6:]
+        rows = tape.gather_rows(m, [2, 0, 2])
+        out = tape.vecadd(tape.vsum(rows), tape.vsum(tape.scale(v, 2.0)))
+        tape.backward(out)
+        assert m.grad.base is grads and v.grad.base is grads
+        assert grads.tolist() == [1.0, 1.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0, 2.0]

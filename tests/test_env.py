@@ -102,14 +102,17 @@ class TestReturns:
 def scripted_episode(model, env, user, actions_rewards, gamma=0.9):
     """Record an episode with a forced action sequence (graph untouched):
     an update of one, whose first step is the user's row of `first_steps`
-    and whose later steps mask the actions taken before them."""
+    and whose later steps mask the actions taken before them, over the
+    user's row of the first step's embeddings, cut when first read."""
     (first,) = first_steps(model, env, [user])
     actions = ActionSet.full(env.n_concepts)
-    steps = []
+    steps, u = [], None
     for action, reward in actions_rewards:
         dist = None
         if steps:
-            dist = build_action_distribution(first.tape, first.leaves, model.policy, first.u, actions)
+            if u is None:
+                u = first.tape.gather_row(first.u, first.row)
+            dist = build_action_distribution(first.tape, first.leaves, model.policy, u, actions)
         steps.append(StepRecord(action, reward, dist))
         actions = actions.shrink(action)
     return Episode(

@@ -7,16 +7,24 @@ import unfused
 from oracles import TextbookAdam
 
 from hincrec import embedding, training
-from hincrec.embedding import EmbedConfig, build_user_embedding, neighborhood
+from hincrec.embedding import (
+    EmbedConfig,
+    build_user_embedding,
+    build_user_embeddings,
+    neighborhood,
+    user_embedding,
+)
 from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import builtin_metapaths, metapath_neighbors
-from hincrec.model import init_model
+from hincrec.metrics import PolicyScorer
+from hincrec.model import FlatParams, ModelParams, init_model
 from hincrec.synth import SynthConfig, generate_synthetic
 from hincrec.data import holdout_targets
 from hincrec.autodiff import Tape
-from hincrec.policy import ActionSet, build_action_distribution
+from hincrec.policy import ActionSet, build_action_distribution, policy_logits
 from hincrec.training import (
     Adam,
+    FirstStep,
     first_steps,
     make_training_env,
     objective_and_gradients,
@@ -372,13 +380,14 @@ class TestTrainRL:
 
 
 def count_adam_steps(monkeypatch):
-    """Records the gradients of every Adam step from now on."""
+    """Records the gradients of every Adam step from now on, copied by
+    tensor name out of the flat gradient that the step reads."""
     steps = []
     real = Adam.step
 
-    def counting(self, grads, maximize=False):
-        steps.append({k: g.copy() for k, g in grads.items()})
-        return real(self, grads, maximize)
+    def counting(self, maximize=False):
+        steps.append({k: g.copy() for k, g in self.params.grads.items()})
+        return real(self, maximize)
 
     monkeypatch.setattr(Adam, "step", counting)
     return steps
@@ -416,7 +425,7 @@ class TestBatchedUpdates:
             dist = build_action_distribution(
                 tape, leaves, model.policy, u, ActionSet.full(env.n_concepts)
             )
-            assert first.u.value.tobytes() == u.value.tobytes()
+            assert first.u.value[first.row].tobytes() == u.value.tobytes()
             assert first.dists.value[first.row].tobytes() == dist.value.tobytes()
             t = first.tape
             got = t.gradients(t.vsum(t.log(t.take(first.dists, [3]))), first.leaves)
@@ -424,16 +433,27 @@ class TestBatchedUpdates:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
+    def test_rows_are_cut_only_when_a_later_step_reads_them(self):
+        env, model, rng = small_world(seed=7)
+        firsts = first_steps(model, env, env.users[:4])
+        tape = firsts[0].tape
+        assert tape._nodes[-1] is firsts[0].dists
+        nodes = len(tape._nodes)
+        env.targets = {}  # every pick misses, so each episode ends at its first step
+        for b, first in enumerate(firsts):
+            play_episode(model, env, env.users[b], 5, 0.0, 0.9, rng, first=first)
+        assert len(tape._nodes) == nodes
+
     def test_a_batch_of_one_is_the_per_episode_loop(self):
         env, model, rng = small_world(seed=10)
         model, _ = pretrain(model, env, episodes=300, lr=1e-2, batch=8, rng=rng)
         ref_model, ref_rng = model.copy(), copy_rng(rng)
-        adam, ref_stats = Adam(ref_model.tensors, 1e-2), []
+        adam, ref_stats = TextbookAdam(lr=1e-2), []
         for _ in range(40):
             user = env.users[int(ref_rng.integers(len(env.users)))]
             episode = play_episode(ref_model, env, user, 5, 0.3, 0.9, ref_rng)
             result = objective_and_gradients(episode, 0.08)
-            adam.step(result.grads, maximize=True)
+            adam.step(ref_model.tensors, result.grads, maximize=True)
             rollback_episode(env, episode)
             ref_stats.append((episode.total_reward(), len(episode.steps),
                               episode.embed_count, result.value))
@@ -466,7 +486,7 @@ class TestBatchedUpdates:
             grads = objective_and_gradients(episode, lam).grads
             total = grads if total is None else {k: total[k] + g for k, g in grads.items()}
             episodes.append(episode)
-        Adam(ref_model.tensors, lr).step(total, maximize=True)
+        TextbookAdam(lr).step(ref_model.tensors, total, maximize=True)
         digest = env.graph.snapshot_digest()
 
         steps = count_adam_steps(monkeypatch)
@@ -505,7 +525,7 @@ class TestBatchedUpdates:
         steps = count_adam_steps(monkeypatch)
         _, stats = train_rl(model, env, episodes=24, batch=8, rng=rng, **kw)
         updates = list(steps)
-        adam = Adam(ref_model.tensors, 1e-4)
+        adam = TextbookAdam(lr=1e-4)
         for lo, got in zip(range(0, 24, 8), updates, strict=True):
             users = [env.users[int(ref_rng.integers(len(env.users)))] for _ in range(8)]
             played = []
@@ -518,7 +538,7 @@ class TestBatchedUpdates:
             assert [s.objective for s in stats[lo:lo + 8]] == objectives
             for name, want in grads.items():
                 assert got[name].tobytes() == want.tobytes(), name
-            adam.step(grads, maximize=True)
+            adam.step(ref_model.tensors, grads, maximize=True)
         if forced:
             assert max(s.length for s in stats) == 3
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -573,43 +593,133 @@ class TestAdam:
     @pytest.mark.parametrize("maximize", [False, True])
     def test_bit_equal_to_textbook_step(self, maximize):
         tensors, grads = adam_problem(0)
-        ref_tensors = {k: v.copy() for k, v in tensors.items()}
-        adam, ref = Adam(tensors, lr=1e-2), TextbookAdam(lr=1e-2)
+        params = FlatParams(tensors)
+        adam, ref = Adam(params, lr=1e-2), TextbookAdam(lr=1e-2)
         for g in grads:
-            adam.step(g, maximize=maximize)
-            ref.step(ref_tensors, g, maximize=maximize)
+            params.grad[...] = flat(g)
+            adam.step(maximize=maximize)
+            ref.step(tensors, g, maximize=maximize)
             assert adam.t == ref.t
             assert adam._m.tobytes() == flat(ref.m).tobytes()
             assert adam._v.tobytes() == flat(ref.v).tobytes()
             for k in ADAM_SHAPES:
-                assert tensors[k].shape == ADAM_SHAPES[k]
-                assert tensors[k].tobytes() == ref_tensors[k].tobytes(), k
+                assert params.views[k].shape == ADAM_SHAPES[k]
+                assert params.views[k].tobytes() == tensors[k].tobytes(), k
 
     def test_updates_the_callers_arrays(self):
         tensors, grads = adam_problem(1)
-        before = {k: v.copy() for k, v in tensors.items()}
-        Adam(tensors, lr=1e-2).step(grads[0])
+        params = FlatParams(tensors)
+        views = params.views
+        before = {k: v.copy() for k, v in views.items()}
+        adam = Adam(params, lr=1e-2)
+        params.grad[...] = flat(grads[0])
+        adam.step()
         for k in ADAM_SHAPES:
-            if tensors[k].size:
-                assert not np.array_equal(tensors[k], before[k]), k
+            if views[k].size:
+                assert np.shares_memory(views[k], params.theta), k
+                assert not np.array_equal(views[k], before[k]), k
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_gradient_changes_nothing(self, bad):
         tensors, grads = adam_problem(2)
-        adam = Adam(tensors, lr=1e-2)
-        adam.step(grads[0])
-        before = {k: v.copy() for k, v in tensors.items()}
-        m, v = adam._m.copy(), adam._v.copy()
+        params = FlatParams(tensors)
+        adam = Adam(params, lr=1e-2)
+        params.grad[...] = flat(grads[0])
+        adam.step()
+        theta, m, v = params.theta.copy(), adam._m.copy(), adam._v.copy()
         grads[1]["cube"][1, 0, 2] = bad
+        params.grad[...] = flat(grads[1])
+        g = params.grad.copy()
         with pytest.raises(FloatingPointError, match="cube"):
-            adam.step(grads[1], maximize=True)
+            adam.step(maximize=True)
         assert adam.t == 1
         assert adam._m.tobytes() == m.tobytes()
         assert adam._v.tobytes() == v.tobytes()
-        assert_tensors_equal(tensors, before)
+        assert params.theta.tobytes() == theta.tobytes()
+        assert params.grad.tobytes() == g.tobytes()
 
-    def test_missing_gradient_raises(self):
-        tensors, grads = adam_problem(4)
-        del grads[0]["b"]
-        with pytest.raises(KeyError, match="b"):
-            Adam(tensors, lr=1e-2).step(grads[0])
+
+class TestFlatParameters:
+    def test_updates_equal_a_textbook_replay(self):
+        # N pretrain updates, then N train_rl updates of 8 episodes, equal
+        # byte for byte a replay on a copy of the model that records on
+        # plain leaves, reads Tape.gradients and steps the per-tensor
+        # textbook Adam, which restarts, as Adam does, with each call.
+        n, lr, lam = 30, 1e-2, 0.08
+        kw = dict(horizon=5, epsilon=0.3, gamma=0.9)
+        env, model, rng = small_world(seed=10)
+        ref_model, ref_rng = model.copy(), copy_rng(rng)
+        _, losses = pretrain(model, env, episodes=n, lr=lr, batch=8, rng=rng)
+        _, stats = train_rl(model, env, episodes=8 * n, lr=lr, lam=lam, batch=8, rng=rng, **kw)
+
+        mps = ref_model.embed.metapaths
+        instances = [(u, c) for u in env.users for c in sorted(env.targets[u])]
+        adam, ref_losses = TextbookAdam(lr=lr), []
+        for _ in range(n):
+            picks = [instances[int(ref_rng.integers(len(instances)))] for _ in range(8)]
+            tape = Tape()
+            leaves = ref_model.leaves(tape)
+            hoods = [neighborhood(env.corpus, user, mps) for user, _ in picks]
+            u, _ = build_user_embeddings(tape, leaves, ref_model.embed, hoods)
+            loss = tape.cross_entropy(policy_logits(tape, leaves, u), [c for _, c in picks])
+            adam.step(ref_model.tensors, tape.gradients(loss, leaves))
+            ref_losses.append(float(loss.value))
+        assert losses == ref_losses
+
+        adam, ref_stats = TextbookAdam(lr=lr), []
+        for _ in range(n):
+            users = [env.users[int(ref_rng.integers(len(env.users)))] for _ in range(8)]
+            tape = Tape()
+            leaves = ref_model.leaves(tape)
+            hoods = [neighborhood(env.corpus, user, mps) for user in users]
+            u, _ = build_user_embeddings(tape, leaves, ref_model.embed, hoods)
+            dists = tape.softmax(policy_logits(tape, leaves, u))
+            played = []
+            for b, user in enumerate(users):
+                first = FirstStep(tape, leaves, u, dists, b)
+                played.append(play_episode(ref_model, env, user, rng=ref_rng, first=first, **kw))
+                rollback_episode(env, played[-1])
+            total, values = training._objective(played, lam)
+            adam.step(ref_model.tensors, tape.gradients(total, leaves), maximize=True)
+            ref_stats += [(e.total_reward(), len(e.steps), e.embed_count, value)
+                          for e, (value, _, _) in zip(played, values)]
+        assert [(s.total_reward, s.length, s.embed_count, s.objective) for s in stats] == ref_stats
+        assert sum(s.embed_count for s in stats) > len(stats)  # later steps re-embedded
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        for name, want in ref_model.tensors.items():
+            assert model.tensors[name].tobytes() == want.tobytes(), name
+
+    def test_tensors_are_views_of_one_vector(self):
+        _, model, _ = small_world(seed=1)
+        lo = 0
+        for name, arr in model.tensors.items():
+            assert arr.base is model.theta, name
+            assert arr.ctypes.data == model.theta[lo:].ctypes.data, name
+            lo += arr.size
+        assert lo == model.theta.size
+        twin = model.copy()
+        assert twin.theta.tobytes() == model.theta.tobytes()
+        assert not np.shares_memory(twin.theta, model.theta)
+
+    def test_a_rebound_tensor_is_not_trained(self):
+        env, model, rng = small_world(seed=1)
+        model.policy.tensors["policy.scores"] = model.policy.tensors["policy.scores"] + 1.0
+        theta = model.theta.copy()
+        with pytest.raises(ValueError, match="policy.scores"):
+            pretrain(model, env, episodes=2, rng=rng)
+        with pytest.raises(ValueError, match="policy.scores"):
+            train_rl(model, env, episodes=2, rng=rng)
+        assert model.theta.tobytes() == theta.tobytes()
+
+    def test_forward_use_allocates_no_training_buffers(self, tmp_path):
+        env, model, rng = small_world(seed=2)
+        model.save(tmp_path / "model.bin")
+        loaded = ModelParams.load(tmp_path / "model.bin")
+        PolicyScorer(loaded, env.graph, env.corpus).logits(env.users[0])
+        user_embedding(loaded.embed, env.graph, env.corpus, env.users[0])
+        assert (loaded.grad, loaded.grads, loaded.moments) == (None, None, None)
+        # training allocates them once; a later call zero-fills the same arrays
+        pretrain(loaded, env, episodes=2, rng=rng)
+        buffers = (loaded.grad, *loaded.moments)
+        train_rl(loaded, env, episodes=2, rng=rng)
+        assert all(a is b for a, b in zip(buffers, (loaded.grad, *loaded.moments)))
