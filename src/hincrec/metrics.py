@@ -33,10 +33,7 @@ class TrialSpec:
 
 
 @dataclass
-class RankedTrial:
-    user: NodeRef
-    positive: int
-    candidates: np.ndarray
+class RankedTrial(TrialSpec):
     scores: np.ndarray
     rank: int  # 1-based rank of the positive after descending-score sort
 
@@ -309,10 +306,11 @@ class PolicyScorer:
     Candidate scores are the policy logits of the user's embedding on the
     supplied training graph and corpus. The first call embeds every user
     of the corpus, CHUNK users per `build_user_embeddings` pass on one
-    non-recording tape, and caches their logits; a user that the corpus
-    did not hold then is embedded alone when asked for. Each user's
-    embedding attends over the union of its own sampled walks, so the
-    logits do not depend on which users share a chunk, beyond float
+    non-recording tape, and caches their logits. A user that the corpus
+    lacks raises as the per-user path does: KeyError when the corpus
+    holds no bags for it, ValueError when it is outside the graph. Each
+    user's embedding attends over the union of its own sampled walks, so
+    the logits do not depend on which users share a chunk, beyond float
     summation order.
     """
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from pathlib import Path
+from types import MappingProxyType
 from typing import Optional, Union
 
 import numpy as np
@@ -59,21 +60,17 @@ class FlatParams:
 
 class ModelParams(FlatParams):
     """Everything learnable: the embedding's tensors, then the policy's, as
-    views of one flat vector that their own dictionaries hold."""
+    views of one flat vector. `tensors`, `embed.tensors` and
+    `policy.tensors` are read-only mappings over those views: an entry
+    cannot be rebound away from `theta`, only written in place."""
 
     def __init__(self, embed: EmbedParams, policy: PolicyParams):
         super().__init__({**embed.tensors, **policy.tensors})
         self.embed = embed
         self.policy = policy
-        for part in (embed.tensors, policy.tensors):
-            for name in part:
-                part[name] = self.views[name]
-
-    @property
-    def tensors(self) -> dict[str, np.ndarray]:
-        merged = dict(self.embed.tensors)
-        merged.update(self.policy.tensors)
-        return merged
+        self.tensors = MappingProxyType(self.views)
+        for part in (embed, policy):
+            part.tensors = MappingProxyType({name: self.views[name] for name in part.tensors})
 
     def leaves(self, tape: Tape) -> dict[str, Var]:
         return {name: tape.leaf(arr) for name, arr in self.tensors.items()}
@@ -81,15 +78,7 @@ class ModelParams(FlatParams):
     def training_leaves(self, tape: Tape) -> dict[str, Var]:
         """Leaves of the parameters whose `.grad` is preset to their view of
         the flat gradient, cleared, so that a backward pass adds into
-        `grad`. A tensor that was rebound in its dictionary is no longer a
-        view of `theta` and cannot be trained: it raises ValueError."""
-        for part in (self.embed.tensors, self.policy.tensors):
-            for name, arr in part.items():
-                if arr is not self.views.get(name):
-                    raise ValueError(
-                        f"tensor {name} was rebound and is no longer a view of the "
-                        "model's parameter vector; write into it in place to train it"
-                    )
+        `grad`."""
         if self.grad is None:
             self.training_buffers()
         self.grad.fill(0.0)

@@ -116,24 +116,20 @@ def _objective(
     pg = tape.vsum(log_p, [r[0] for r in returns])
     plogp = tape.plogp(first.dists)
     negent = tape.vsum(plogp)
-    later: list[list[tuple[Var, float, Var]]] = [[] for _ in episodes]
-    for terms, e, rets in zip(later, episodes, returns):
+    values = []
+    for b, (e, rets) in enumerate(zip(episodes, returns)):
+        policy_term, entropy_raw = log_p.value[b] * rets[0], np.sum(plogp.value[b])
         for rec, ret in zip(e.steps[1:], rets[1:]):
             step_log_p = tape.log(tape.gather_row(rec.dist, rec.action))
             step_negent = tape.vsum(tape.plogp(rec.dist))
             pg = tape.vecadd(pg, tape.scale(step_log_p, ret))
             negent = tape.vecadd(negent, step_negent)
-            terms.append((step_log_p, ret, step_negent))
-    total = tape.vecadd(pg, tape.scale(negent, -lam))
-    values = []
-    for b, (terms, rets) in enumerate(zip(later, returns)):
-        policy_term, entropy_raw = log_p.value[b] * rets[0], np.sum(plogp.value[b])
-        for step_log_p, ret, step_negent in terms:
-            policy_term = policy_term + step_log_p.value * ret
-            entropy_raw = entropy_raw + step_negent.value
+            policy_term += step_log_p.value * ret
+            entropy_raw += step_negent.value
         values.append((
             float(policy_term + entropy_raw * -lam), float(policy_term), float(entropy_raw)
         ))
+    total = tape.vecadd(pg, tape.scale(negent, -lam))
     return total, values
 
 
@@ -249,18 +245,26 @@ class FirstStep:
     row: int
 
 
-def first_steps(model: ModelParams, env: TrainingEnv, users: list[NodeRef]) -> list[FirstStep]:
-    """Opens one recording tape, on the model's `training_leaves`, and
-    embeds `users` on it in one `build_user_embeddings` pass over the
-    neighborhood keys that `env.corpus` keeps, with one logit product and
-    one softmax; every action is open at a first step, so nothing is
-    masked."""
+def _open_update(
+    model: ModelParams, env: TrainingEnv, users: list[NodeRef]
+) -> tuple[Tape, dict[str, Var], Var, Var]:
+    """Opens an update's recording tape on the model's `training_leaves`
+    and embeds `users` on it in one `build_user_embeddings` pass over the
+    neighborhood keys that `env.corpus` keeps: (tape, leaves, the (B, dim)
+    embeddings, their (B, K) policy logits)."""
     tape = Tape()
     leaves = model.training_leaves(tape)
-    metapaths = model.embed.metapaths
-    hoods = [neighborhood(env.corpus, user, metapaths) for user in users]
+    hoods = [neighborhood(env.corpus, user, model.embed.metapaths) for user in users]
     u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
-    dist = tape.softmax(policy_logits(tape, leaves, u))
+    return tape, leaves, u, policy_logits(tape, leaves, u)
+
+
+def first_steps(model: ModelParams, env: TrainingEnv, users: list[NodeRef]) -> list[FirstStep]:
+    """Starts the episodes of `users` in one update (`_open_update`), with
+    one softmax over their logits; every action is open at a first step,
+    so nothing is masked."""
+    tape, leaves, u, logits = _open_update(model, env, users)
+    dist = tape.softmax(logits)
     return [FirstStep(tape, leaves, u, dist, b) for b in range(len(users))]
 
 
@@ -363,6 +367,8 @@ def pretrain(
     parameters change. Returns the model and the per-episode mean loss
     trace.
     """
+    if batch < 1:
+        raise ValueError(f"batch must be >= 1, got {batch}")
     instances = [
         (user, concept)
         for user in env.users
@@ -371,15 +377,10 @@ def pretrain(
     if not instances:
         raise ValueError("no (user, target) pairs to pretrain on")
     adam = Adam(model, lr)
-    metapaths = model.embed.metapaths
     losses: list[float] = []
     for ep in range(episodes):
         picks = [instances[int(rng.integers(len(instances)))] for _ in range(batch)]
-        tape = Tape()
-        leaves = model.training_leaves(tape)
-        hoods = [neighborhood(env.corpus, user, metapaths) for user, _ in picks]
-        u, _ = build_user_embeddings(tape, leaves, model.embed, hoods)
-        logits = policy_logits(tape, leaves, u)
+        tape, leaves, _, logits = _open_update(model, env, [user for user, _ in picks])
         loss = tape.cross_entropy(logits, [target for _, target in picks])
         if not math.isfinite(loss.value):
             raise FloatingPointError(
@@ -421,6 +422,8 @@ def train_rl(
     """
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     adam = Adam(model, lr)
     stats: list[EpisodeStats] = []
     # Totals take a few values (rewards are +-1); the records share one

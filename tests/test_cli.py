@@ -270,6 +270,22 @@ def test_bad_config_exits_2(workspace, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("command, key, message", [
+    ("pretrain", "batch", "batch must be >= 1, got 0"),
+    ("train", "T", "horizon must be >= 1, got 0"),
+])
+def test_count_below_one_in_config_exits_2(workspace, capsys, command, key, message):
+    cfg = workspace / "zero.cfg"
+    cfg.write_text(RUN_CFG.replace(f"\n{key} = 4\n", f"\n{key} = 0\n"), encoding="utf-8")
+    argv = [command, "--config", str(cfg), "--data", str(workspace / "data"),
+            "--ckpt", str(workspace / "model.bin")]
+    argv += ["--cutoff", str(CUTOFF)] if command == "pretrain" else ["--from-scratch"]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert f"hincrec: {message}" in capsys.readouterr().err
+    assert not (workspace / "model.bin").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
     assert "hincrec" in capsys.readouterr().out

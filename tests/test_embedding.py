@@ -247,7 +247,7 @@ class TestUserEmbedding:
         cfg = EmbedConfig(dim=4, heads=2, feat_dim=3, path_hidden=5)
         model = init_model(g, builtin_metapaths(), cfg, rng=np.random.default_rng(0))
         # zero-initialised scores would give zero logits for every user
-        model.policy.tensors["policy.scores"] = np.random.default_rng(1).normal(
+        model.policy.tensors["policy.scores"][...] = np.random.default_rng(1).normal(
             size=model.policy.tensors["policy.scores"].shape
         )
         corpus = PathCorpus.build(g, users, builtin_metapaths(), n=6,

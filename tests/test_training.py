@@ -258,6 +258,14 @@ class TestPretrain:
         assert sig.parameters["lr"].default == 0.001
         assert sig.parameters["batch"].default == 8
 
+    @pytest.mark.parametrize("batch", [0, -1])
+    def test_batch_below_one_is_rejected(self, batch):
+        env, model, rng = small_world(seed=7)
+        theta = model.theta.copy()
+        with pytest.raises(ValueError, match="batch must be >= 1"):
+            pretrain(model, env, episodes=4, batch=batch, rng=rng)
+        assert model.theta.tobytes() == theta.tobytes()
+
 
 class TestTrainRL:
     def test_zero_episodes_keeps_params(self):
@@ -279,6 +287,14 @@ class TestTrainRL:
         assert sig.parameters["lam"].default == 0.08
         assert sig.parameters["lr"].default == 1e-4
         assert sig.parameters["batch"].default == 8
+
+    @pytest.mark.parametrize("horizon", [0, -1])
+    def test_horizon_below_one_is_rejected(self, horizon):
+        env, model, rng = small_world(seed=7)
+        theta = model.theta.copy()
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            train_rl(model, env, episodes=4, horizon=horizon, rng=rng)
+        assert model.theta.tobytes() == theta.tobytes()
 
     def test_graph_restored_after_training(self):
         env, model, rng = small_world(seed=8)
@@ -701,15 +717,19 @@ class TestFlatParameters:
         assert twin.theta.tobytes() == model.theta.tobytes()
         assert not np.shares_memory(twin.theta, model.theta)
 
-    def test_a_rebound_tensor_is_not_trained(self):
-        env, model, rng = small_world(seed=1)
-        model.policy.tensors["policy.scores"] = model.policy.tensors["policy.scores"] + 1.0
-        theta = model.theta.copy()
-        with pytest.raises(ValueError, match="policy.scores"):
-            pretrain(model, env, episodes=2, rng=rng)
-        with pytest.raises(ValueError, match="policy.scores"):
-            train_rl(model, env, episodes=2, rng=rng)
-        assert model.theta.tobytes() == theta.tobytes()
+    def test_tensor_tables_are_read_only_views(self, tmp_path):
+        _, model, _ = small_world(seed=1)
+        model.save(tmp_path / "model.bin")
+        for built in (model, model.copy(), ModelParams.load(tmp_path / "model.bin")):
+            theta = built.theta.copy()
+            for table in (built.tensors, built.embed.tensors, built.policy.tensors):
+                for name, arr in table.items():
+                    assert arr is built.views[name], name
+                    with pytest.raises(TypeError):
+                        table[name] = arr + 1.0
+                    assert table[name] is built.views[name], name
+            assert list(built.tensors) == [*built.embed.tensors, *built.policy.tensors]
+            assert built.theta.tobytes() == theta.tobytes()
 
     def test_forward_use_allocates_no_training_buffers(self, tmp_path):
         env, model, rng = small_world(seed=2)

@@ -7,9 +7,10 @@ Four runs, each on a fresh world: the acceptance world of
 score table (``tests/test_training.py``'s ``reinforce_world``), each with
 ``train_rl`` in updates of 8 episodes and of 1. A run is ``--pretrain``
 ``pretrain`` episodes, then ``--episodes`` ``train_rl`` episodes. The
-digest covers, per run and in order: every tensor's name and bytes, the
-pretrain losses, every ``EpisodeStats`` field except ``seconds``, the
-graph digest after the run and the generator's next draw. The line also
+digest covers, per run and in order: every tensor's name and bytes,
+Adam's first and second moments after the last call, the pretrain
+losses, every ``EpisodeStats`` field except ``seconds``, the graph
+digest after the run and the generator's next draw. The line also
 gives each run's number of steps after the first, so that a reader sees
 that later, re-embedded steps were covered.
 
@@ -63,6 +64,8 @@ def run(world: str, batch: int, n_pretrain: int, n_rl: int, h) -> int:
     for name, arr in model.tensors.items():
         h.update(name.encode())
         h.update(arr.tobytes())
+    for moment in model.moments[:2]:
+        h.update(moment.tobytes())
     h.update(np.asarray(losses, dtype=np.float64).tobytes())
     for s in stats:
         h.update(repr((s.total_reward, s.length, s.embed_count, s.objective)).encode())
