@@ -27,6 +27,8 @@ from .graph import (
 
 # Dead-end walks are retried at most this many times the requested count.
 RETRY_FACTOR = 10
+# The most words a `Words` source draws at once; a block is a list of ints.
+BLOCK_WORDS = 4096
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,11 @@ def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
     multiply-shift on ``next_uint32``, at a quarter of the call's cost.
     It skips the bit generator's lock: every caller draws from one thread,
     and across threads the lock would not keep the stream deterministic
-    anyway. Callers skip k = 1."""
+    anyway. Callers skip k = 1.
+
+    `synth.generate_synthetic` alone uses it: it interleaves
+    ``rng.random()`` with its bounded draws, so words drawn ahead (`Words`)
+    cannot serve it. The walks draw from `Words`."""
     iface = rng.bit_generator.ctypes
     next_uint32, state = iface.next_uint32, iface.state
 
@@ -95,6 +101,58 @@ def bounded_draws(rng: np.random.Generator) -> Callable[[int], int]:
     return draw
 
 
+class Words:
+    """The ``next_uint32`` words of `rng`, drawn ahead in blocks, for
+    bounded draws equal to ``rng.integers(k)``'s.
+
+    ``rng.integers(0, 2**32, size=b, dtype=np.uint32)`` reads one
+    ``next_uint32`` per word for every bit generator, so `buf` holds the
+    words that per-draw calls would read, in order, and `pos` is the next
+    unread one. A reader may take ``buf[pos]`` itself when ``word * k``
+    has a low half of at least k (Lemire's one-word case), and advance
+    `pos`; every other draw goes through `bounded`. Blocks start at
+    `first` words and double up to BLOCK_WORDS. After the last draw,
+    `settle` leaves `rng` where the per-draw calls would have.
+    """
+
+    def __init__(self, rng: np.random.Generator, first: int):
+        self.rng = rng
+        self.buf: list[int] = []
+        self.pos = 0
+        self._size = max(1, min(first, BLOCK_WORDS))
+        self._state: Optional[dict] = None  # the bit generator's, before `buf`
+
+    def bounded(self, k: int) -> int:
+        """What ``rng.integers(k)`` draws, for k from 2 to 2**32 - 1, read
+        from the word at `pos` on."""
+        buf, pos = self.buf, self.pos
+        while True:
+            if pos == len(buf):
+                buf, pos = self._refill(), 0
+            m = buf[pos] * k
+            pos += 1
+            low = m & 0xFFFFFFFF
+            if low >= k or low >= (0x100000000 - k) % k:
+                self.pos = pos
+                return m >> 32
+
+    def _refill(self) -> list[int]:
+        rng = self.rng
+        self._state = rng.bit_generator.state
+        self.buf = rng.integers(0, 2**32, size=self._size, dtype=np.uint32).tolist()
+        self._size = min(2 * self._size, BLOCK_WORDS)
+        return self.buf
+
+    def settle(self) -> None:
+        """Restore the state saved before the current block, redraw the
+        words read from it, and drop the rest; later draws start there."""
+        if self._state is not None and self.pos < len(self.buf):
+            self.rng.bit_generator.state = self._state
+            if self.pos:
+                self.rng.integers(0, 2**32, size=self.pos, dtype=np.uint32)
+        self.buf, self.pos, self._state = [], 0, None
+
+
 def sample_instances(
     graph: HinGraph,
     user: NodeRef,
@@ -102,7 +160,7 @@ def sample_instances(
     n: int = 10,
     max_len: Optional[int] = None,
     *,
-    rng: np.random.Generator,
+    rng: np.random.Generator | Words,
 ) -> np.ndarray:
     """Sample up to `n` walks from `user` conforming to `mp`, as the
     (walks, len(mp)) array of their node indices; column i holds nodes of
@@ -110,11 +168,16 @@ def sample_instances(
 
     Each hop picks uniformly among the neighbors reachable under the next
     relation in the pattern: in walk order, the hops draw what one
-    ``rng.integers(degree)`` each would (`bounded_draws`), and leave `rng`
-    where those calls would; a hop from a node with one neighbor draws
-    nothing. Dead-end walks are discarded and retried up to RETRY_FACTOR *
-    n times; fewer than `n` instances come back when the budget runs out.
-    Duplicate walks are kept (the bag is a sampling budget, not a set).
+    ``rng.integers(degree)`` each would; a hop from a node with one
+    neighbor draws nothing. `rng` is a Generator, which is left where
+    those calls would leave it, or an open `Words` source of one, which
+    its opener settles. Dead-end walks are discarded and retried up to
+    RETRY_FACTOR * n times; fewer than `n` instances come back when the
+    budget runs out. Duplicate walks are kept (the bag is a sampling
+    budget, not a set).
+
+    `max_len` is only checked against the pattern length: a walk always
+    has its pattern's length, so it changes no walk.
     """
     if user.type != NodeType.USER:
         raise ValueError(f"walks must start at a user, got {user!r}")
@@ -126,26 +189,46 @@ def sample_instances(
         )
 
     hops = [graph.rows(t, rel).get for t, rel in zip(mp.pattern, mp.relations)]
-    draw = bounded_draws(rng)
-    out: list[list[int]] = []
-    retries = 0
+    words = rng if isinstance(rng, Words) else Words(rng, n * len(hops))
+    buf, i = words.buf, words.pos
+    end = len(buf)
+    flat: list[int] = []  # the walks, concatenated
+    append = flat.append
+    done = retries = 0
     budget = RETRY_FACTOR * n
-    while len(out) < n:
-        node = user.index
-        walk = [node]
-        for hop in hops:
-            nbrs = hop(node)
-            if not nbrs:
-                break
-            node = nbrs[draw(len(nbrs))] if len(nbrs) > 1 else nbrs[0]
-            walk.append(node)
-        if len(walk) == len(mp.pattern):
-            out.append(walk)
-        else:
+    try:
+        while done < n:
+            mark = len(flat)
+            node = user.index
+            append(node)
+            for hop in hops:
+                nbrs = hop(node)
+                if not nbrs:
+                    break
+                k = len(nbrs)
+                if k == 1:
+                    node = nbrs[0]
+                elif i < end and (m := buf[i] * k) & 0xFFFFFFFF >= k:
+                    i += 1
+                    node = nbrs[m >> 32]
+                else:
+                    words.pos = i
+                    node = nbrs[words.bounded(k)]
+                    buf, i = words.buf, words.pos
+                    end = len(buf)
+                append(node)
+            else:
+                done += 1
+                continue
+            del flat[mark:]
             retries += 1
             if retries >= budget:
                 break
-    walks = np.array(out, dtype=np.int64).reshape(len(out), len(mp.pattern))
+        words.pos = i
+    finally:
+        if words is not rng:
+            words.settle()
+    walks = np.array(flat, dtype=np.int64).reshape(-1, len(mp.pattern))
     walks.flags.writeable = False
     return walks
 
@@ -162,6 +245,8 @@ class PathCorpus:
         self._by_id = {mp.id: mp for mp in self.metapaths}
         self._bags: dict[tuple[NodeRef, int], np.ndarray] = {}
         self._kept: dict[NodeRef, dict] = {}
+        # the hops of one user's walks, one of each meta-path
+        self._hops = sum(len(mp.relations) for mp in self.metapaths)
 
     @classmethod
     def build(
@@ -174,9 +259,16 @@ class PathCorpus:
         *,
         rng: np.random.Generator,
     ) -> "PathCorpus":
+        """The bags of every user of `users`, in order, walked from one
+        `Words` source of `rng`, which is settled before this returns or
+        raises."""
         corpus = cls(metapaths)
-        for user in users:
-            corpus.resample_user(graph, user, n=n, max_len=max_len, rng=rng)
+        words = Words(rng, n * corpus._hops)
+        try:
+            for user in users:
+                corpus.resample_user(graph, user, n=n, max_len=max_len, rng=words)
+        finally:
+            words.settle()
         return corpus
 
     def resample_user(
@@ -186,14 +278,21 @@ class PathCorpus:
         n: int = 10,
         max_len: Optional[int] = None,
         *,
-        rng: np.random.Generator,
+        rng: np.random.Generator | Words,
     ) -> None:
-        """Re-walk all of one user's bags against the current graph."""
+        """Re-walk all of one user's bags against the current graph. `rng`
+        is a Generator, for which one `Words` source is opened and settled,
+        or an open source (see `sample_instances`)."""
         self._kept.pop(user, None)
-        for mp in self.metapaths:
-            self._bags[(user, mp.id)] = sample_instances(
-                graph, user, mp, n=n, max_len=max_len, rng=rng
-            )
+        words = rng if isinstance(rng, Words) else Words(rng, n * self._hops)
+        try:
+            for mp in self.metapaths:
+                self._bags[(user, mp.id)] = sample_instances(
+                    graph, user, mp, n=n, max_len=max_len, rng=words
+                )
+        finally:
+            if words is not rng:
+                words.settle()
 
     def users(self) -> list[NodeRef]:
         """The users that have bags, in the order they were first written."""

@@ -367,6 +367,8 @@ def pretrain(
     parameters change. Returns the model and the per-episode mean loss
     trace.
     """
+    if episodes < 0:
+        raise ValueError(f"episodes must be >= 0, got {episodes}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     instances = [
@@ -420,6 +422,8 @@ def train_rl(
     the update. Each episode's `seconds` is its update's wall time over
     the update's episode count.
     """
+    if episodes < 0:
+        raise ValueError(f"episodes must be >= 0, got {episodes}")
     if batch < 1:
         raise ValueError(f"batch must be >= 1, got {batch}")
     if horizon < 1:

@@ -275,8 +275,23 @@ def test_bad_config_exits_2(workspace, capsys):
     ("train", "T", "horizon must be >= 1, got 0"),
 ])
 def test_count_below_one_in_config_exits_2(workspace, capsys, command, key, message):
-    cfg = workspace / "zero.cfg"
-    cfg.write_text(RUN_CFG.replace(f"\n{key} = 4\n", f"\n{key} = 0\n"), encoding="utf-8")
+    assert_bad_count_exits_2(workspace, capsys, command, key, 0, message)
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("pretrain", "pretrain_episodes", -3, "episodes must be >= 0, got -3"),
+    ("train", "E", -1, "episodes must be >= 0, got -1"),
+])
+def test_negative_episodes_in_config_exit_2(workspace, capsys, command, key, value, message):
+    assert_bad_count_exits_2(workspace, capsys, command, key, value, message)
+
+
+def assert_bad_count_exits_2(workspace, capsys, command, key, value, message):
+    """`command` run with `key` set to `value` in the run config exits 2
+    with `message` and writes no checkpoint."""
+    line = next(line for line in RUN_CFG.splitlines() if line.startswith(f"{key} = "))
+    cfg = workspace / "bad.cfg"
+    cfg.write_text(RUN_CFG.replace(f"\n{line}\n", f"\n{key} = {value}\n"), encoding="utf-8")
     argv = [command, "--config", str(cfg), "--data", str(workspace / "data"),
             "--ckpt", str(workspace / "model.bin")]
     argv += ["--cutoff", str(CUTOFF)] if command == "pretrain" else ["--from-scratch"]

@@ -1,5 +1,6 @@
 """tools/forward_pairs.py, run on this tree against itself."""
 
+import dataclasses
 import importlib.util
 import os
 import shutil
@@ -56,6 +57,36 @@ def test_walks_and_evaluate_run_what_a_request_and_an_eval_run(monkeypatch):
     assert built == [(side.split.train.graph, side.test_users)]
     (report,) = reports
     assert report.n_trials == len(side.split.test_positives) > 0
+
+
+def test_the_4x_and_10x_worlds_are_the_benchmarks(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    loaded = set(sys.modules)
+    monkeypatch.setitem(sys.modules, "bench_workloads", workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    for name in {"checks", "spans"} - loaded:  # bench's own modules
+        del sys.modules[name]
+    for world in ("reinforce", "serve"):
+        config = workloads.synth.SynthConfig(**forward_pairs.WORLDS[world])
+        assert dataclasses.asdict(config) == dataclasses.asdict(workloads.WORLDS[world])
+
+
+def test_walks_on_the_serve_world_run_what_a_request_runs(monkeypatch):
+    side = forward_pairs.Side(forward_pairs.load(ROOT / "src", "hincrec_serve"), "serve", 0, 2)
+    assert side.env.n_concepts == forward_pairs.WORLDS["serve"]["concepts"]
+    assert side.ds.user_count() == 2000
+    built = []
+    build = side.pkg.metapath.PathCorpus.build.__func__
+
+    def recording_build(cls, graph, users, *args, **kwargs):
+        built.append(build(cls, graph, users, *args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(side.pkg.metapath.PathCorpus, "build", classmethod(recording_build))
+    assert side.walks() > 0
+    assert [corpus.users() for corpus in built] == [[user] for user in side.users]
 
 
 def test_generate_generates_the_sides_world(monkeypatch):

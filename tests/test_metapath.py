@@ -8,8 +8,10 @@ import pytest
 import unfused
 from hincrec.graph import ENDPOINTS, TYPE_ORDER, HinGraph, NodeRef, NodeType, Relation
 from hincrec.metapath import (
+    BLOCK_WORDS,
     MetaPath,
     PathCorpus,
+    Words,
     bounded_draws,
     builtin_metapaths,
     metapath_neighbors,
@@ -376,6 +378,115 @@ class TestBoundedDraws:
         assert [draw(7) for _ in want] == want
 
 
+class TestWords:
+    """`Words`, the pre-drawn words the walks read, against per-draw calls."""
+
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "buffered half"])
+    @pytest.mark.parametrize("k", [2, 3, 7, 500, 2**31 + 1, 3 * 2**30, 2**32 - 1])
+    def test_bounded_equals_integers(self, k, buffered):
+        ours, theirs = np.random.default_rng([k, 5]), np.random.default_rng([k, 5])
+        if buffered:
+            ours.integers(7), theirs.integers(7)
+            assert ours.bit_generator.state["has_uint32"] == 1
+        # three words first, then doubling blocks: 400 draws cross several
+        words = Words(ours, first=3)
+        values = [words.bounded(k) for _ in range(400)]
+        words.settle()
+        assert values == [int(theirs.integers(k)) for _ in values]
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_settle_is_idempotent_and_the_source_draws_on(self):
+        ours, theirs = np.random.default_rng(3), np.random.default_rng(3)
+        words = Words(ours, first=5)
+        words.settle()  # before any draw: leaves the generator alone
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        values = [words.bounded(9) for _ in range(7)]
+        words.settle()
+        words.settle()
+        ours.random()  # a draw of its own between two uses of the source
+        values += [words.bounded(9) for _ in range(7)]
+        words.settle()
+        want = [int(theirs.integers(9)) for _ in range(7)]
+        theirs.random()
+        want += [int(theirs.integers(9)) for _ in range(7)]
+        assert values == want
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_blocks_are_capped(self):
+        words = Words(np.random.default_rng(0), first=10**6)
+        words.bounded(3)
+        assert len(words.buf) == BLOCK_WORDS
+        for _ in range(3 * BLOCK_WORDS):
+            words.bounded(3)
+        assert len(words.buf) == BLOCK_WORDS
+
+
+BIT_GENERATORS = [np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def assert_same_state(ours, theirs):
+    # the states of these bit generators hold arrays
+    np.testing.assert_equal(ours.bit_generator.state, theirs.bit_generator.state)
+
+
+def reference_bags(graph, users, mps, n, rng):
+    """The bags of a build, walked one (user, meta-path) at a time by
+    ``unfused.sample_instances``."""
+    return [unfused.sample_instances(graph, user, mp, n=n, rng=rng)
+            for user in users for mp in mps]
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_other_bit_generators_walk_as_the_reference_does(bit_generator):
+    gen = np.random.default_rng([3, 11])
+    seen = 0
+    for _ in range(8):
+        g, counts = TestAgainstReferenceSampler.random_graph(gen)
+        seed = int(gen.integers(2**31))
+        ours, theirs = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        for mp in builtin_metapaths():
+            for u in range(counts[U]):
+                user, n = NodeRef(U, u), int(gen.integers(1, 6))
+                want = unfused.sample_instances(g, user, mp, n=n, rng=theirs)
+                assert walk_refs(sample_instances(g, user, mp, n=n, rng=ours), mp) == want
+                assert_same_state(ours, theirs)
+                seen += len(want)
+    assert seen
+
+
+@pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+def test_build_under_other_bit_generators_walks_as_the_reference_does(bit_generator):
+    ds = generate_synthetic(ACCEPTANCE_WORLD)
+    users = [NodeRef(U, i) for i in range(ds.user_count())]
+    mps = builtin_metapaths()
+    ours, theirs = np.random.Generator(bit_generator(7)), np.random.Generator(bit_generator(7))
+    corpus = PathCorpus.build(ds.graph, users, mps, n=10, max_len=5, rng=ours)
+    want = reference_bags(ds.graph, users, mps, 10, theirs)
+    # 200 users' walks read more words than several blocks hold
+    assert sum(len(walks) * (len(walks[0]) - 1) for walks in want if walks) > 4 * BLOCK_WORDS
+    got = [walk_refs(corpus.walks(user, mp.id), mp) for user in users for mp in mps]
+    assert got == want
+    assert_same_state(ours, theirs)
+    # a re-walk from a bare Generator opens and settles its own source
+    corpus.resample_user(ds.graph, users[3], n=10, rng=ours)
+    want = reference_bags(ds.graph, users[3:4], mps, 10, theirs)
+    assert [walk_refs(corpus.walks(users[3], mp.id), mp) for mp in mps] == want
+    assert_same_state(ours, theirs)
+
+
+def test_a_build_that_raises_leaves_the_generator_where_the_walks_left_it():
+    ds = generate_synthetic(ACCEPTANCE_WORLD)
+    users = [NodeRef(U, i) for i in range(40)]
+    mps = builtin_metapaths()
+    ours, theirs = np.random.default_rng(4), np.random.default_rng(4)
+    with pytest.raises(ValueError, match="walks must start at a user"):
+        PathCorpus.build(ds.graph, [*users, NodeRef(K, 0), NodeRef(U, 40)], mps, n=10,
+                         rng=ours)
+    reference_bags(ds.graph, users, mps, 10, theirs)
+    assert_same_state(ours, theirs)
+    assert ours.integers(2**32 - 1) == theirs.integers(2**32 - 1)
+
+
 # The acceptance world of tests/test_acceptance.py, walked as a corpus
 # build does, with N = 10 and l = 5.
 ACCEPTANCE_WORLD = SynthConfig(users=200, concepts=50, clusters=5, p_in=0.9, p_out=0.02,
@@ -399,6 +510,30 @@ def test_acceptance_world_bags_are_pinned():
         "b4fca1d0e2c1a13ea644f1d2d1ae0a00207438f818a660213673cbc72bf736ce"
     )
     assert int(rng.integers(2**32 - 1)) == 3350104315
+
+
+# bench/workloads.py's 4x world, whose corpus the `reinforce` workload builds
+REINFORCE_WORLD = SynthConfig(users=800, concepts=200, clusters=20, courses=40, videos=80,
+                              seed=7)
+
+
+def test_reinforce_world_bags_are_pinned():
+    # computed with bounded_draws per hop, before the walks read words
+    # drawn ahead; at this size a build reads many blocks
+    ds = generate_synthetic(REINFORCE_WORLD)
+    users = sorted({c.user for c in ds.clicks}, key=lambda r: r.index)
+    rng = np.random.default_rng(5)
+    corpus = PathCorpus.build(ds.graph, users, builtin_metapaths(), n=10, max_len=5, rng=rng)
+    digest = hashlib.sha256()
+    for user in corpus.users():
+        for mp in corpus.metapaths:
+            digest.update(corpus.walks(user, mp.id).astype("<i8").tobytes())
+            digest.update(b"|")
+    assert len(corpus.users()) == 800
+    assert digest.hexdigest() == (
+        "7b7be9b943ef11af85dc59ad959200da802dedc95c80117b3c6d1c410bb8e781"
+    )
+    assert int(rng.integers(2**32 - 1)) == 2978438168
 
 
 def test_bags_and_neighbor_lists_share_one_ref_per_node(fan_graph):

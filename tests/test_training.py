@@ -266,6 +266,15 @@ class TestPretrain:
             pretrain(model, env, episodes=4, batch=batch, rng=rng)
         assert model.theta.tobytes() == theta.tobytes()
 
+    @pytest.mark.parametrize("episodes", [-1, -5])
+    def test_negative_episodes_are_rejected_before_any_draw(self, episodes):
+        env, model, rng = small_world(seed=7)
+        theta, state = model.theta.copy(), rng.bit_generator.state
+        with pytest.raises(ValueError, match=f"episodes must be >= 0, got {episodes}"):
+            pretrain(model, env, episodes=episodes, rng=rng)
+        assert model.theta.tobytes() == theta.tobytes()
+        assert rng.bit_generator.state == state
+
 
 class TestTrainRL:
     def test_zero_episodes_keeps_params(self):
@@ -295,6 +304,17 @@ class TestTrainRL:
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             train_rl(model, env, episodes=4, horizon=horizon, rng=rng)
         assert model.theta.tobytes() == theta.tobytes()
+
+    @pytest.mark.parametrize("episodes", [-1, -5])
+    def test_negative_episodes_are_rejected_before_any_draw(self, episodes):
+        env, model, rng = small_world(seed=7)
+        theta, state = model.theta.copy(), rng.bit_generator.state
+        digest = env.graph.snapshot_digest()
+        with pytest.raises(ValueError, match=f"episodes must be >= 0, got {episodes}"):
+            train_rl(model, env, episodes=episodes, rng=rng)
+        assert model.theta.tobytes() == theta.tobytes()
+        assert rng.bit_generator.state == state
+        assert env.graph.snapshot_digest() == digest
 
     def test_graph_restored_after_training(self):
         env, model, rng = small_world(seed=8)

@@ -6,7 +6,9 @@
 Both trees' ``hincrec`` packages are imported into this one process,
 under the names ``hincrec_parent`` and ``hincrec_change``, and each side
 builds the same world (``bench/workloads.py``'s training world, with a
-drawn score table so that logits do not tie) from the same seed. Every
+drawn score table so that logits do not tie) from the same seed. The
+worlds are the acceptance world, and the benchmark's 4x ``reinforce``
+and 10x ``serve`` worlds, generated in process. Every
 pair times each measurement once per side, the parent first on even
 pairs and the change first on odd ones:
 
@@ -59,6 +61,8 @@ WORLDS = {
     "acceptance": dict(users=200, concepts=50, clusters=5, seed=7),
     # bench/workloads.py's 4x world
     "reinforce": dict(users=800, concepts=200, clusters=20, courses=40, videos=80, seed=7),
+    # bench/workloads.py's 10x world, which the `serve` workload walks
+    "serve": dict(users=2000, concepts=500, clusters=50, courses=100, videos=200, seed=7),
 }
 WALKS, WALK_LEN, BATCH, NEGATIVES = 10, 5, 8, 99
 SUBMODULES = ("data", "embedding", "metapath", "metrics", "model", "synth", "training")
