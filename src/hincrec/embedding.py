@@ -14,7 +14,7 @@ from typing import ClassVar, Iterable, Sequence
 import numpy as np
 
 from .autodiff import Tape, Var
-from .graph import KEY_SHIFT, TYPE_ORDER, HinGraph, NodeRef, NodeType
+from .graph import KEY_SHIFT, TYPE_ORDER, HinGraph, NodeRef, NodeType, node_key
 from .metapath import MetaPath, PathCorpus, metapath_neighbors
 
 
@@ -92,26 +92,59 @@ class EmbedParams:
 _TYPE_STARTS = np.arange(1, len(TYPE_ORDER), dtype=np.int64) << KEY_SHIFT
 
 
-def neighborhood_keys(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> np.ndarray:
-    """The (P, L) node keys of `user`'s neighborhood along each of
-    `metapaths`: row p lists ``metapath_neighbors`` (the user first, then
-    the distinct nodes of its sampled walks), padded with -1."""
-    rows = [metapath_neighbors(corpus, user, mp) for mp in metapaths]
-    keys = np.full((len(rows), max(row.size for row in rows)), -1, dtype=np.int64)
-    for p, row in enumerate(rows):
-        keys[p, : row.size] = row
+def _pad(rows: Sequence[np.ndarray]) -> np.ndarray:
+    """`rows`, arrays alike in shape but for the length of their last axis,
+    stacked and padded with -1 along that axis to the longest."""
+    width = max(row.shape[-1] for row in rows)
+    keys = np.full((len(rows), *rows[0].shape[:-1], width), -1, dtype=np.int64)
+    for i, row in enumerate(rows):
+        keys[i, ..., : row.shape[-1]] = row
     return keys
 
 
+def neighborhood_keys(
+    corpus: PathCorpus, users: Sequence[NodeRef], metapaths: list[MetaPath]
+) -> np.ndarray:
+    """The (B, P, W) node keys of the neighborhoods of the B `users` along
+    each of `metapaths`: row [b, p] lists ``metapath_neighbors`` (the user
+    first, then the distinct nodes of its sampled walks, in walk order),
+    padded with -1.
+
+    One user's rows are ``metapath_neighbors``' own. For more users, one
+    stable sort of each of the B * P rows of walk keys finds the first
+    occurrence of every key, which gives the same rows."""
+    if len(users) == 1:
+        return _pad([metapath_neighbors(corpus, users[0], mp) for mp in metapaths])[None]
+    # one row per (meta-path, user): the user's key, then its walks' keys
+    bags = [[corpus.walks(user, mp.id) for user in users] for mp in metapaths]
+    sizes = np.array([[walks.size for walks in row] for row in bags]).ravel() + 1
+    seq = np.full((sizes.size, sizes.max()), -1, dtype=np.int64)
+    seq[:, 0] = np.tile([node_key(user) for user in users], len(metapaths))
+    cols = np.arange(seq.shape[1])
+    seq[(cols > 0) & (cols < sizes[:, None])] = np.concatenate(
+        [(np.concatenate(row) + mp.type_keys).ravel() for mp, row in zip(metapaths, bags)]
+    )
+    order = np.argsort(seq, axis=1, kind="stable")
+    ordered = np.take_along_axis(seq, order, axis=1)
+    first = ordered >= 0
+    first[:, 1:] &= ordered[:, 1:] != ordered[:, :-1]
+    keep = np.zeros_like(first)
+    np.put_along_axis(keep, order, first, axis=1)
+    counts = np.count_nonzero(keep, axis=1)
+    keys = np.full((sizes.size, counts.max()), -1, dtype=np.int64)
+    keys[np.arange(keys.shape[1]) < counts[:, None]] = seq[keep]
+    return np.ascontiguousarray(keys.reshape(len(metapaths), len(users), -1).transpose(1, 0, 2))
+
+
 def neighborhood(corpus: PathCorpus, user: NodeRef, metapaths: list[MetaPath]) -> np.ndarray:
-    """The `neighborhood_keys` of `user` along `metapaths`, which `corpus`
+    """The (P, L) `neighborhood_keys` of `user` along `metapaths`, which `corpus`
     keeps, by meta-path ids, from their first use until the user's bags
     are next written."""
     kept = corpus.kept(user)
     key = tuple(mp.id for mp in metapaths)
     keys = kept.get(key)
     if keys is None:
-        keys = kept[key] = neighborhood_keys(corpus, user, metapaths)
+        keys = kept[key] = neighborhood_keys(corpus, [user], metapaths)[0]
     return keys
 
 
@@ -158,21 +191,18 @@ def build_user_embeddings(
     tape: Tape,
     leaves: dict[str, Var],
     params: EmbedParams,
-    hoods: Sequence[np.ndarray],
+    hoods: np.ndarray | Sequence[np.ndarray],
 ) -> tuple[Var, Var]:
-    """Returns the (B, dim) user vectors and (B, P) path weights of the
-    B users whose `neighborhood` keys `hoods` are given, in one pass over
-    the tape: multi-head node-level attention per meta-path, then a
-    softmax over each user's path scores q . tanh(W e + b) and the
-    weighted sum.
+    """Returns the (B, dim) user vectors and (B, P) path weights of B
+    users, in one pass over the tape: multi-head node-level attention per
+    meta-path, then a softmax over each user's path scores
+    q . tanh(W e + b) and the weighted sum. `hoods` is the users' (B, P, W)
+    `neighborhood_keys`, or a sequence of their (P, L) `neighborhood` keys.
 
     Each distinct node of the batch is gathered and projected once (see
     `_layout`), however many users' neighborhoods hold it.
     """
-    width = max(hood.shape[1] for hood in hoods)
-    keys = np.full((len(hoods), len(params.metapaths), width), -1, dtype=np.int64)
-    for b, hood in enumerate(hoods):
-        keys[b, :, : hood.shape[1]] = hood
+    keys = hoods if isinstance(hoods, np.ndarray) else _pad(hoods)
     ids, rows, mask, self_rows = _layout(keys)
     h = _project(tape, leaves, ids)
     attn = [leaves[f"attn.mp{mp.id}"] for mp in params.metapaths]
@@ -222,6 +252,6 @@ def user_embedding(
     graph._check_node(user)
     tape = Tape(record=False)
     leaves = {k: tape.leaf(v) for k, v in params.tensors.items()}
-    hood = neighborhood_keys(corpus, user, params.metapaths)
-    u, beta = build_user_embeddings(tape, leaves, params, [hood])
+    keys = neighborhood_keys(corpus, [user], params.metapaths)
+    u, beta = build_user_embeddings(tape, leaves, params, keys)
     return UserEmbedding(vector=u.value[0], beta=beta.value[0])

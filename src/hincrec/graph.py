@@ -10,7 +10,7 @@ from __future__ import annotations
 import bisect
 import hashlib
 from enum import Enum
-from typing import Iterator, NamedTuple
+from typing import Callable, Hashable, Iterable, Iterator, NamedTuple, Optional
 
 
 class NodeType(Enum):
@@ -107,6 +107,7 @@ class HinGraph:
         self._rows: dict[tuple[NodeType, Relation], dict[int, list[int]]] = {
             end: {} for end in OTHER_END
         }
+        self._lookups: dict[Hashable, list] = {}  # see `row_lookups`
 
     # -- nodes ---------------------------------------------------------
 
@@ -178,11 +179,20 @@ class HinGraph:
         i = bisect.bisect_left(row, b.index)
         return i < len(row) and row[i] == b.index
 
-    def rows(self, node_type: NodeType, kind: Relation) -> dict[int, list[int]]:
-        """The live adjacency rows of `node_type` under `kind`: a node's
-        index to its neighbors' sorted indices, for nodes that have any.
-        Callers must not mutate them."""
-        return self._rows[(node_type, kind)]
+    def row_lookups(
+        self, key: Hashable, ends: Iterable[tuple[NodeType, Relation]]
+    ) -> list[Callable[[int], Optional[list[int]]]]:
+        """The ``get`` of the live adjacency rows of each (type, kind) of
+        `ends`: a node's index to its neighbors' sorted indices, or None
+        for a node that has none. Callers must not mutate the rows.
+
+        The list is made once and kept under `key`, which must stand for
+        the same `ends` on every call (a meta-path's `type_keys` does). A
+        copy of the graph keeps none of them."""
+        lookups = self._lookups.get(key)
+        if lookups is None:
+            lookups = self._lookups[key] = [self._rows[end].get for end in ends]
+        return lookups
 
     def neighbors(self, node: NodeRef, kind: Relation) -> list[NodeRef]:
         """Distinct neighbors of `node` under `kind`, sorted by index."""

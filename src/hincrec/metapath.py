@@ -188,7 +188,7 @@ def sample_instances(
             f"max walk length {max_len} shorter than pattern length {len(mp.pattern)}"
         )
 
-    hops = [graph.rows(t, rel).get for t, rel in zip(mp.pattern, mp.relations)]
+    hops = graph.row_lookups(mp.type_keys, zip(mp.pattern, mp.relations))
     words = rng if isinstance(rng, Words) else Words(rng, n * len(hops))
     buf, i = words.buf, words.pos
     end = len(buf)

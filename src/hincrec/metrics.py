@@ -9,6 +9,7 @@ click popularity) stand in for external baselines.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import chain, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -150,6 +151,115 @@ def rank_of_positive(candidates: np.ndarray, scores: np.ndarray, positive: int) 
     return int(_rank_counts([candidates], [np.asarray(scores, dtype=float)], [positive])[0][0])
 
 
+# Test positives whose negatives are drawn from one block of generator
+# words. On the benchmark's 10x world (2-core x86 VM), blocks of 256 held
+# about 2 MB of temporary arrays and drew as fast as blocks of 512;
+# blocks of 1,024 held 10 MB and drew a quarter slower. A block takes
+# fewer when its users' table of never-clicked concepts would otherwise
+# exceed TABLE_CELLS (user, concept) cells.
+TRIAL_BLOCK = 256
+TABLE_CELLS = 2**20
+# The largest pool whose negatives are drawn from words drawn ahead;
+# `Generator.choice` draws larger pools' itself.
+FLOYD_POOL = 10_000
+
+
+def _floyd(rng: np.random.Generator, sizes: np.ndarray, takes: np.ndarray, out: np.ndarray) -> int:
+    """Draws the rows of `out` that ``rng.choice(size, take, replace=False)``
+    draws for each (size, take) of `sizes` and `takes`, in row order, from
+    words drawn at once, and returns how many leading rows it drew. It
+    stops before the first row whose draws reject a word, and leaves
+    `rng` after the words of the rows it drew.
+
+    For pools of at most FLOYD_POOL, `choice` runs Floyd's algorithm:
+    for j from size - take to size - 1, it draws v from [0, j] and keeps
+    v, or j when v was kept before. It then shuffles: for i from take - 1
+    down to 1, it draws from [0, i] and swaps. Every draw from [0, j] with
+    j > 0 reads one ``next_uint32`` word w and takes (w * (j + 1)) >> 32,
+    unless the low half of that product is below 2**32 mod (j + 1), where
+    Lemire's method rejects w and reads another.
+    """
+    if not sizes.size:
+        return 0
+    own = sizes == takes  # such a row's first Floyd step draws from [0, 0]
+    n_floyd = takes - own
+    ends = np.cumsum(n_floyd + takes - 1)
+    starts = ends - n_floyd - takes + 1
+    state = rng.bit_generator.state
+    # rows that all draw from [0, 0] alone read no word; one zero stands in
+    words = (
+        rng.integers(0, 2**32, size=int(ends[-1]), dtype=np.uint32)
+        if ends[-1]
+        else np.zeros(1, dtype=np.uint32)
+    )
+    # by step and row, the bound b of each draw from [0, b - 1] and its
+    # word: Floyd's step t draws from [0, j], j = size - take + t, then the
+    # shuffle's step s from [0, i], i = take - 1 - s. A step past a row's
+    # end has b = 1, as a draw from [0, 0] has: it rejects no word and
+    # draws 0.
+    width = int(takes.max())
+    steps = np.arange(width)[:, None]
+    live = steps < takes
+    bound = np.empty((2 * width - 1, sizes.size), dtype=np.int32)
+    bound[:width] = np.where(live, sizes - takes + 1 + steps, 1)
+    bound[width:] = np.maximum(takes - steps[:-1], 1)
+    m = np.take(
+        words, np.concatenate((starts + steps - own, starts + n_floyd + steps[:-1])), mode="clip"
+    ) * bound
+    # Lemire's method rejects a word when the low half of word * b is
+    # below 2**32 mod b, which is below b
+    step, row = np.nonzero((m & 0xFFFFFFFF) < bound)
+    rejected = row[m[step, row] & 0xFFFFFFFF < 2**32 % bound[step, row].astype(np.int64)]
+    rows = sizes.size
+    if rejected.size:
+        rows = int(rejected.min())
+        rng.bit_generator.state = state
+        if starts[rows]:
+            rng.integers(0, 2**32, size=int(starts[rows]), dtype=np.uint32)
+        if not rows:
+            return 0
+        sizes, live, bound, m = sizes[:rows], live[:, :rows], bound[:, :rows], m[:, :rows]
+    drawn = np.right_shift(m, 32, out=m)
+    # Floyd's steps over one flat table of every row's pool, in which the
+    # steps past a row's take share one slot at the end
+    offsets = np.cumsum(sizes) - sizes
+    spare = int(offsets[-1] + sizes[-1])
+    picks = np.where(live, offsets + drawn[:width], spare)
+    top = np.where(live, offsets - 1 + bound[:width], spare)
+    taken = np.zeros(spare + 1, dtype=bool)
+    for pick, last in zip(picks, top):
+        np.copyto(pick, last, where=taken[pick])
+        taken[pick] = True
+    # the shuffle's swaps, on the picks as one flat array, step by step
+    picks -= offsets
+    ordered = picks.reshape(-1)
+    every = np.arange(rows)
+    for a, b in zip((bound[width:] - 1) * rows + every, drawn[width:] * rows + every):
+        ordered[a], ordered[b] = ordered[b], ordered[a]
+    picks[~live] = -1
+    out[:rows] = picks.T
+    return rows
+
+
+def _pool_ranks(rng: np.random.Generator, sizes: np.ndarray, takes: np.ndarray) -> np.ndarray:
+    """The (T, max take) matrix, padded with -1, whose row r holds what
+    ``rng.choice(sizes[r], takes[r], replace=False)`` draws when called for
+    each row in order, and leaves `rng` where those calls leave it. Rows
+    are drawn by `_floyd`; a row whose pool is above FLOYD_POOL, or whose
+    draws reject a word, is drawn by `choice` itself."""
+    ranks = np.full((sizes.size, int(takes.max(initial=0))), -1, dtype=np.int64)
+    done = 0
+    while done < sizes.size:
+        big = np.flatnonzero(sizes[done:] > FLOYD_POOL)
+        stop = done + int(big[0]) if big.size else sizes.size
+        done += _floyd(rng, sizes[done:stop], takes[done:stop], ranks[done:stop])
+        if done < sizes.size:
+            take = int(takes[done])
+            ranks[done, :take] = rng.choice(int(sizes[done]), take, replace=False)
+            done += 1
+    return ranks
+
+
 def build_trials(
     test_positives: Iterable[tuple[NodeRef, int]],
     clicked_by_user: dict[NodeRef, set],
@@ -163,31 +273,78 @@ def build_trials(
     When fewer never-clicked concepts exist than requested, the pool caps
     the negative count; trials with an empty pool are skipped. At least
     one negative must be requested: a trial without one ranks nothing.
+
+    The negatives are those that one ``rng.choice(pool, size=take,
+    replace=False)`` per trial, in trial order, draws, and `rng` is left
+    where those calls leave it. They are drawn for a block of trials at
+    a time (see `_block_trials`), as ranks in the pool: the sorted
+    never-clicked concepts of the user, without the positive.
     """
     if n_negatives < 1:
         raise ValueError(f"n_negatives must be >= 1, got {n_negatives}")
-    trials = []
-    all_concepts = np.arange(n_concepts)
-    for user, positive in test_positives:
-        blocked = [*clicked_by_user.get(user, ()), positive]
-        keep = np.ones(n_concepts, dtype=bool)
-        keep[[c for c in blocked if 0 <= c < n_concepts]] = False
-        pool = all_concepts[keep]
-        if pool.size == 0:
-            continue
-        take = min(n_negatives, pool.size)
-        negatives = rng.choice(pool, size=take, replace=False)
-        candidates = np.concatenate(([positive], negatives))
-        trials.append(TrialSpec(user=user, positive=positive, candidates=candidates))
+    size = max(1, min(TRIAL_BLOCK, TABLE_CELLS // max(n_concepts, 1)))
+    pairs = iter(test_positives)
+    trials: list[TrialSpec] = []
+    while block := list(islice(pairs, size)):
+        trials += _block_trials(block, clicked_by_user, n_concepts, n_negatives, rng)
     return trials
+
+
+def _block_trials(
+    block: list[tuple[NodeRef, int]],
+    clicked_by_user: dict[NodeRef, set],
+    n_concepts: int,
+    n_negatives: int,
+    rng: np.random.Generator,
+) -> list[TrialSpec]:
+    """The trials of `block`'s test positives, as `build_trials` makes
+    them, with every negative drawn in one `_pool_ranks` call."""
+    users, positives = zip(*block)
+    rows: dict[NodeRef, int] = {}  # each user's row of `keep`
+    row = np.array([rows.setdefault(user, len(rows)) for user in users])
+    clicked = [[c for c in clicked_by_user.get(user, ()) if 0 <= c < n_concepts] for user in rows]
+    # keep[r, c]: whether the user of row r never clicked concept c
+    keep = np.ones((len(rows), n_concepts), dtype=bool)
+    keep[np.repeat(np.arange(len(rows)), list(map(len, clicked))), list(chain(*clicked))] = False
+    # the pools: each row's never-clicked concepts, less the positive
+    positive = np.array(positives, dtype=np.int64)
+    inside = (positive >= 0) & (positive < n_concepts)
+    skip = np.zeros(len(block), dtype=bool)
+    skip[inside] = keep[row[inside], positive[inside]]
+    tables = np.nonzero(keep)[1]
+    counts = np.count_nonzero(keep, axis=1)
+    sizes = counts[row] - skip
+    kept = np.flatnonzero(sizes)  # a trial with an empty pool is skipped
+    skip, positive, sizes = skip[kept], positive[kept], sizes[kept]
+    takes = np.minimum(sizes, n_negatives)
+    ranks = _pool_ranks(rng, sizes, takes)
+    # rank r of a pool is entry r of its row's table, or entry r + 1 from
+    # the positive on
+    at = (np.cumsum(counts) - counts)[row[kept], None] + ranks
+    at += skip[:, None] & (tables[at] >= positive[:, None])
+    candidates = np.empty((kept.size, 1 + ranks.shape[1]), dtype=np.int64)
+    candidates[:, 0] = positive
+    candidates[:, 1:] = tables[at]
+    return [
+        TrialSpec(user=users[i], positive=positives[i], candidates=cands[: 1 + take])
+        for i, cands, take in zip(kept.tolist(), candidates, takes.tolist())
+    ]
 
 
 def score_trials(scorer: Scorer, trials: Sequence[TrialSpec]) -> list[RankedTrial]:
     """Scores each trial's candidates, one scorer call per trial in trial
-    order, then ranks every positive in one pass."""
+    order, then ranks every positive in one pass.
+
+    A NaN score ranks nothing, so it raises ValueError, which names the
+    user of the first trial that holds one."""
     if not trials:
         return []
     scores = [np.asarray(scorer(spec.user, spec.candidates), dtype=float) for spec in trials]
+    nan = np.flatnonzero(np.isnan(np.concatenate(scores)))
+    if nan.size:
+        ends = np.cumsum(np.fromiter(map(len, scores), dtype=np.int64, count=len(scores)))
+        user = trials[int(np.searchsorted(ends, nan[0], side="right"))].user
+        raise ValueError(f"NaN score in a trial of {user!r}")
     ranks, _, _ = _rank_counts(
         [spec.candidates for spec in trials], scores, [spec.positive for spec in trials]
     )
@@ -328,8 +485,8 @@ class PolicyScorer:
         leaves = self.model.leaves(tape)
         for lo in range(0, len(users), self.CHUNK):
             chunk = users[lo : lo + self.CHUNK]
-            hoods = [neighborhood_keys(self.corpus, user, params.metapaths) for user in chunk]
-            u, _ = build_user_embeddings(tape, leaves, params, hoods)
+            keys = neighborhood_keys(self.corpus, chunk, params.metapaths)
+            u, _ = build_user_embeddings(tape, leaves, params, keys)
             self._cache.update(zip(chunk, policy_logits(tape, leaves, u).value))
 
     def logits(self, user: NodeRef) -> np.ndarray:

@@ -306,6 +306,24 @@ def test_help_exits_0(capsys):
     assert "hincrec" in capsys.readouterr().out
 
 
+def test_eval_of_a_nan_checkpoint_exits_2(workspace, capsys):
+    # every user's logits read path.W, so the first trial's user is named
+    ckpt = workspace / "sl.bin"
+    data = str(workspace / "data")
+    assert main(["pretrain", "--config", str(workspace / "run.cfg"), "--data", data,
+                 "--ckpt", str(ckpt), "--cutoff", str(CUTOFF)]) == 0
+    model = ModelParams.load(ckpt)
+    model.embed.tensors["path.W"][0, 0] = np.nan
+    model.save(ckpt)
+    capsys.readouterr()
+    argv = ["eval", "--config", str(workspace / "run.cfg"), "--data", data,
+            "--ckpt", str(ckpt), "--cutoff", str(CUTOFF)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "hincrec: NaN score in a trial of user:" in err
+
+
 @pytest.mark.parametrize("users, concepts", [(10, 8), (40, 16)])
 def test_checkpoint_refuses_other_dataset(workspace, capsys, users, concepts):
     ckpt = workspace / "sl.bin"

@@ -6,7 +6,7 @@ import pytest
 import unfused
 from unfused import node_aggregate, node_attention, path_attention, project
 
-from hincrec import metrics
+from hincrec import embedding, metrics
 from hincrec.autodiff import Tape, grad_check
 from hincrec.data import holdout_targets, temporal_split
 from hincrec.embedding import (
@@ -15,10 +15,11 @@ from hincrec.embedding import (
     build_user_embedding,
     build_user_embeddings,
     neighborhood,
+    neighborhood_keys,
     user_embedding,
 )
-from hincrec.graph import HinGraph, NodeRef, NodeType, Relation
-from hincrec.metapath import PathCorpus, builtin_metapaths
+from hincrec.graph import HinGraph, NodeRef, NodeType, Relation, node_key
+from hincrec.metapath import PathCorpus, builtin_metapaths, metapath_neighbors
 from hincrec.metrics import PolicyScorer
 from hincrec.model import init_model
 from hincrec.policy import ActionSet, build_action_distribution, policy_logits
@@ -439,6 +440,76 @@ class TestPolicyScorerLogits:
 
 
 # -- the batched builder ---------------------------------------------------------
+
+
+def per_row_stack(corpus, users, mps):
+    """The users' (B, P, W) keys from one ``metapath_neighbors`` call per
+    user and meta-path, padded with -1 to the longest."""
+    rows = [[metapath_neighbors(corpus, user, mp).tolist() for mp in mps] for user in users]
+    width = max(len(row) for user_rows in rows for row in user_rows)
+    return np.array([[row + [-1] * (width - len(row)) for row in user_rows] for user_rows in rows],
+                    dtype=np.int64)
+
+
+class TestNeighborhoodKeys:
+    def test_every_chunk_of_the_serve_world_matches_per_row(self):
+        ds = generate_synthetic(
+            SynthConfig(users=2000, concepts=500, clusters=50, courses=100, videos=200, seed=7)
+        )
+        stamps = sorted(c.ts for c in ds.clicks)
+        split = temporal_split(ds, stamps[int(0.8 * len(stamps))])
+        users = sorted({u for u, _ in split.test_positives}, key=lambda r: r.index)
+        mps = builtin_metapaths()
+        corpus = PathCorpus.build(split.train.graph, users, mps, n=10, max_len=5,
+                                  rng=np.random.default_rng(0))
+        assert len(users) > 1000
+        for lo in range(0, len(users), PolicyScorer.CHUNK):
+            chunk = users[lo : lo + PolicyScorer.CHUNK]
+            keys = neighborhood_keys(corpus, chunk, mps)
+            assert keys.dtype == np.int64 and keys.flags.c_contiguous
+            assert np.array_equal(keys, per_row_stack(corpus, chunk, mps))
+
+    def test_empty_bags_and_unequal_walk_counts(self):
+        mps = builtin_metapaths()
+        corpus = PathCorpus(mps)
+        a, b, c = (NodeRef(U, i) for i in (3, 0, 7))
+        corpus.restore_user(a, {
+            1: [],
+            2: [[3, 4, 1, 4, 3]],
+            3: [[3, 1, 2, 1, 5], [3, 1, 2, 1, 5], [3, 0, 9, 2, 3]],
+            4: [[3, 2, 6, 0, 3]] * 10,
+        })
+        corpus.restore_user(b, {
+            1: [[0, 4, 3], [0, 1, 0], [0, 4, 2], [0, 0, 0]],
+            2: [],
+            3: [[0, 1, 1, 1, 0]],
+            4: [],
+        })
+        corpus.restore_user(c, {mp.id: [] for mp in mps})
+        for users in ([a, b, c], [c, a], [b, c], [c, c], [a], [c]):
+            keys = neighborhood_keys(corpus, users, mps)
+            assert np.array_equal(keys, per_row_stack(corpus, users, mps)), users
+        # a user whose bags are all empty is its own neighborhood
+        assert neighborhood_keys(corpus, [c], mps).tolist() == [[[node_key(c)]] * len(mps)]
+
+    def test_one_user_stacks_neighbor_lists(self, acceptance_world, monkeypatch):
+        # a request or a training user takes the per-row path; a chunk does not
+        env, _ = acceptance_world
+        calls = []
+
+        def counting(corpus, user, mp):
+            calls.append((user, mp.id))
+            return metapath_neighbors(corpus, user, mp)
+
+        monkeypatch.setattr(embedding, "metapath_neighbors", counting)
+        user = env.users[1]
+        keys = neighborhood_keys(env.corpus, [user], env.corpus.metapaths)
+        assert calls == [(user, mp.id) for mp in env.corpus.metapaths]
+        calls.clear()
+        chunk = neighborhood_keys(env.corpus, env.users[1:4], env.corpus.metapaths)
+        assert calls == []
+        assert np.array_equal(chunk[:1, :, : keys.shape[2]], keys)
+        assert np.all(chunk[:1, :, keys.shape[2] :] == -1)
 
 
 def per_user_loss(tape, leaves, model, corpus, pairs):

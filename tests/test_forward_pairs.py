@@ -59,6 +59,28 @@ def test_walks_and_evaluate_run_what_a_request_and_an_eval_run(monkeypatch):
     assert report.n_trials == len(side.split.test_positives) > 0
 
 
+def test_recommend_runs_what_a_request_runs(monkeypatch):
+    side = forward_pairs.Side(forward_pairs.load(ROOT / "src", "hincrec_recommend"),
+                              "acceptance", 0, 3)
+    pkg = side.pkg
+    built, asked = [], []
+    build, logits = pkg.metapath.PathCorpus.build.__func__, pkg.metrics.PolicyScorer.logits
+
+    def recording_build(cls, graph, users, *args, **kwargs):
+        built.append(build(cls, graph, users, *args, **kwargs))
+        return built[-1]
+
+    def recording_logits(scorer, user):
+        asked.append((scorer.corpus, user))
+        return logits(scorer, user)
+
+    monkeypatch.setattr(pkg.metapath.PathCorpus, "build", classmethod(recording_build))
+    monkeypatch.setattr(pkg.metrics.PolicyScorer, "logits", recording_logits)
+    assert side.recommend() > 0
+    assert [corpus.users() for corpus in built] == [[user] for user in side.users]
+    assert asked == list(zip(built, side.users))
+
+
 def test_the_4x_and_10x_worlds_are_the_benchmarks(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
     spec = importlib.util.spec_from_file_location("bench_workloads", ROOT / "bench" / "workloads.py")

@@ -271,3 +271,30 @@ class TestAgainstTripleSet:
                 assert rebuilt.add_edge(*((lo, hi) if rng.random() < 0.5 else (hi, lo)), kind)
             assert rebuilt.snapshot_digest() == g.snapshot_digest()
             assert list(rebuilt.edges()) == list(g.edges())
+
+
+def test_row_lookups_are_kept_per_key_and_read_the_live_rows():
+    from hincrec.metapath import PathCorpus, builtin_metapaths
+
+    U, K = NodeType.USER, NodeType.CONCEPT
+    g = HinGraph()
+    users, concepts = g.add_nodes(U, 2), g.add_nodes(K, 3)
+    mp1 = builtin_metapaths()[0]  # user - concept - user, over clicks
+    ends = list(zip(mp1.pattern, mp1.relations))
+    lookups = g.row_lookups(mp1.type_keys, ends)
+    assert g.row_lookups(mp1.type_keys, ends) is lookups
+    assert [lookup(0) for lookup in lookups] == [None, None]
+    g.add_edge(users[0], concepts[1], Relation.CLICK)
+    assert lookups[0](0) == [1] and lookups[1](1) == [0]
+    # a copy keeps none: its lookups read its own rows
+    copy = g.copy()
+    copied = copy.row_lookups(mp1.type_keys, ends)
+    assert copied is not lookups
+    copy.add_edge(users[1], concepts[1], Relation.CLICK)
+    assert copied[1](1) == [0, 1] and lookups[1](1) == [0]
+    # a corpus build makes one list per meta-path, which later calls return
+    other = g.copy()
+    mps = builtin_metapaths()
+    PathCorpus.build(other, users, mps, n=3, rng=np.random.default_rng(0))
+    for mp in mps:
+        assert len(other.row_lookups(mp.type_keys, [])) == len(mp.relations)

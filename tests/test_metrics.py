@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hincrec import metrics
 from hincrec.graph import NodeRef, NodeType
 from hincrec.metrics import (
     EvalReport,
@@ -179,6 +180,36 @@ class TestReportInvariants:
         assert "HR@5" in rep.pretty()
 
 
+def reference_trials(test_positives, clicked_by_user, n_concepts, n_negatives, rng):
+    """`build_trials` as (user, positive, candidates) triples: the pool as a
+    Python comprehension over all K concepts, one `rng.choice` per trial."""
+    out = []
+    for user, positive in test_positives:
+        clicked = clicked_by_user.get(user, set())
+        pool = np.array([c for c in np.arange(n_concepts) if c not in clicked and c != positive])
+        if pool.size == 0:
+            continue
+        negatives = rng.choice(pool, size=min(n_negatives, pool.size), replace=False)
+        out.append((user, positive, np.concatenate(([positive], negatives))))
+    return out
+
+
+def assert_trials_match_reference(positives, clicked, n_concepts, n_negatives, make_rng):
+    """`build_trials` and `reference_trials`, each on a generator from
+    `make_rng`, give the same trials and leave the generators alike."""
+    got_rng, want_rng = make_rng(), make_rng()
+    got = build_trials(positives, clicked, n_concepts, n_negatives, got_rng)
+    want = reference_trials(positives, clicked, n_concepts, n_negatives, want_rng)
+    assert len(got) == len(want)
+    for spec, (user, positive, candidates) in zip(got, want):
+        assert (spec.user, spec.positive) == (user, positive)
+        assert spec.candidates.dtype == candidates.dtype
+        assert np.array_equal(spec.candidates, candidates)
+    np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+    assert got_rng.integers(2**63) == want_rng.integers(2**63)
+    return got
+
+
 class TestProtocol:
     def test_negatives_avoid_clicked_and_positive(self):
         rng = np.random.default_rng(0)
@@ -201,21 +232,7 @@ class TestProtocol:
         assert len(spec.candidates) == 3  # positive + the 2 never-clicked
 
     def test_pool_matches_comprehension(self):
-        # the pool as a Python comprehension over all K concepts; clicked ids
-        # outside [0, K) and users with an empty pool included
-        def reference(test_positives, clicked_by_user, n_concepts, n_negatives, rng):
-            out = []
-            for user, positive in test_positives:
-                clicked = clicked_by_user.get(user, set())
-                pool = np.array(
-                    [c for c in np.arange(n_concepts) if c not in clicked and c != positive]
-                )
-                if pool.size == 0:
-                    continue
-                negatives = rng.choice(pool, size=min(n_negatives, pool.size), replace=False)
-                out.append((user, positive, np.concatenate(([positive], negatives))))
-            return out
-
+        # clicked ids outside [0, K) and users with an empty pool included
         gen = np.random.default_rng(8)
         for case in range(40):
             n_concepts = int(gen.integers(1, 60))
@@ -226,13 +243,9 @@ class TestProtocol:
             }
             clicked[users[0]] = set(range(n_concepts))
             positives = [(u, int(gen.integers(n_concepts))) for u in users]
-            want = reference(positives, clicked, n_concepts, 7, np.random.default_rng(case))
-            got = build_trials(positives, clicked, n_concepts, 7, np.random.default_rng(case))
-            assert len(got) == len(want)
-            for spec, (user, positive, candidates) in zip(got, want):
-                assert (spec.user, spec.positive) == (user, positive)
-                assert spec.candidates.dtype == candidates.dtype
-                assert np.array_equal(spec.candidates, candidates)
+            assert_trials_match_reference(
+                positives, clicked, n_concepts, 7, lambda: np.random.default_rng(case)
+            )
 
     def test_trials_fixed_across_scorers(self):
         users = [NodeRef(U, i) for i in range(50)]
@@ -295,6 +308,142 @@ class TestProtocol:
             build_trials(positives, {}, 10, n_negatives, np.random.default_rng(0))
         with pytest.raises(ValueError, match="n_negatives"):
             evaluate(RandomScorer(0), positives, {}, 10, n_negatives=n_negatives, seed=0)
+
+
+# -- negatives drawn from blocks of words, against one `choice` per trial -------
+
+BIT_GENERATORS = [np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64]
+
+
+def serve_sized():
+    """500 concepts and 99 negatives, as the benchmark's 10x world has,
+    over 2,600 trials of 700 users (more than two blocks of trials)."""
+    gen = np.random.default_rng(30)
+    users = [NodeRef(U, i) for i in range(700)]
+    clicked = {u: set(gen.choice(500, int(gen.integers(5, 40)), replace=False).tolist())
+               for u in users}
+    positives = [(users[int(i)], int(gen.integers(500)))
+                 for i in np.sort(gen.integers(700, size=2600))]
+    return positives, clicked, 500, 99
+
+
+def small_pools():
+    """Pools of exactly 99 concepts (Floyd's first step draws from [0, 0])
+    and of 1 to 98, mixed with larger ones."""
+    users = [NodeRef(U, i) for i in range(60)]
+    # a user that clicked concepts 0 to c - 1 keeps 120 - c, less its positive
+    counts = [20, 21, 25, 60, 100, 118, 117, 5]
+    clicked = {u: set(range(counts[i % len(counts)])) for i, u in enumerate(users)}
+    positives = [(u, positive) for u in users for positive in (119, 118)]
+    return positives, clicked, 120, 99
+
+
+def positives_outside_the_pool():
+    """Clicked positives, positives outside [0, K) and an empty pool."""
+    users = [NodeRef(U, i) for i in range(6)]
+    clicked = {users[0]: set(range(30)), users[1]: {3, 4, 5, -2, 31}, users[2]: {7}}
+    positives = [
+        (users[0], 4),  # empty pool: skipped
+        (users[1], 4),  # clicked positive
+        (users[2], -1), (users[3], 30), (users[4], 45),  # outside [0, K)
+        (users[2], 7), (users[5], 0), (users[1], 29),
+    ]
+    return positives, clicked, 30, 12
+
+
+def big_pools():
+    """Pools above FLOYD_POOL, which `choice` draws itself, between
+    smaller ones, at 99 negatives and at more than a fiftieth of the pool."""
+    users = [NodeRef(U, i) for i in range(4)]
+    clicked = {users[0]: {0}, users[2]: set(range(100))}
+    positives = [(users[i % 4], 500 + i) for i in range(8)]
+    return positives, clicked, 10_002, 99
+
+
+def big_pools_many_negatives():
+    positives, clicked, n_concepts, _ = big_pools()
+    return positives, clicked, n_concepts, 250
+
+
+CASES = [serve_sized, small_pools, positives_outside_the_pool, big_pools,
+         big_pools_many_negatives]
+
+
+def modelled_choice(rng, size, take):
+    """What ``rng.choice(size, take, replace=False)`` draws, in pure Python
+    from the bit generator's ``next_uint32`` words, and how many words
+    Lemire's method rejected: Floyd's algorithm, then a shuffle."""
+    iface = rng.bit_generator.ctypes
+    rejected = 0
+
+    def draw(j):  # uniform on [0, j]
+        nonlocal rejected
+        if j == 0:
+            return 0
+        while True:
+            m = iface.next_uint32(iface.state) * (j + 1)
+            if m & 0xFFFFFFFF >= 2**32 % (j + 1):
+                return m >> 32
+            rejected += 1
+
+    picks = []
+    for j in range(size - take, size):
+        v = draw(j)
+        picks.append(j if v in picks else v)
+    for i in range(take - 1, 0, -1):
+        d = draw(i)
+        picks[i], picks[d] = picks[d], picks[i]
+    return picks, rejected
+
+
+# A seed per bit generator whose stream, under `redraw_case`, holds a word
+# that Lemire's method rejects within the first few trials.
+REDRAW_SEEDS = {"PCG64": 642, "MT19937": 191, "Philox": 214, "SFC64": 68}
+
+
+def redraw_case():
+    """40 trials, each with a pool of 9,999 of 10,000 concepts."""
+    positives = [(NodeRef(U, i), 17 * i) for i in range(40)]
+    return positives, {}, 10_000, 99
+
+
+class TestBlockDraws:
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("case", CASES, ids=lambda c: c.__name__)
+    def test_match_one_choice_per_trial(self, case, bit_generator):
+        positives, clicked, n_concepts, n_negatives = case()
+        trials = assert_trials_match_reference(
+            positives, clicked, n_concepts, n_negatives,
+            lambda: np.random.Generator(bit_generator(5)),
+        )
+        assert trials
+
+    def test_cases_cover_what_they_name(self):
+        positives, clicked, n_concepts, n_negatives = serve_sized()
+        assert len(build_trials(positives, clicked, n_concepts, n_negatives,
+                                np.random.default_rng(0))) > 2 * metrics.TRIAL_BLOCK
+        for case, sizes in ((small_pools, {1, 2, 98, 99}), (big_pools, {10_000, 10_001})):
+            positives, clicked, n_concepts, n_negatives = case()
+            trials = build_trials(positives, clicked, n_concepts, n_negatives,
+                                  np.random.default_rng(0))
+            pools = {n_concepts - len(set(clicked.get(t.user, ())) | {t.positive})
+                     for t in trials}
+            assert sizes <= pools
+        assert len(build_trials(*positives_outside_the_pool(), np.random.default_rng(0))) == 7
+
+    @pytest.mark.parametrize("bit_generator", BIT_GENERATORS, ids=lambda b: b.__name__)
+    def test_a_rejected_word_matches_choice(self, bit_generator):
+        positives, clicked, n_concepts, n_negatives = redraw_case()
+        seed = REDRAW_SEEDS[bit_generator.__name__]
+        model, check = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        rejected = 0
+        for _ in positives:
+            picks, r = modelled_choice(model, n_concepts - 1, n_negatives)
+            assert picks == check.choice(n_concepts - 1, n_negatives, replace=False).tolist()
+            rejected += r
+        assert rejected >= 1
+        assert_trials_match_reference(positives, clicked, n_concepts, n_negatives,
+                                      lambda: np.random.Generator(bit_generator(seed)))
 
 
 @pytest.mark.parametrize(
@@ -423,6 +572,29 @@ class TestVectorisedRanks:
         stream = np.random.default_rng(7)
         for t in ranked:
             assert np.array_equal(t.scores, stream.random(t.candidates.size))
+
+    def test_nan_scores_raise_naming_the_first_user(self):
+        # a NaN compares false, so it would rank above every negative:
+        # 20 trials of NaN scores read HR@5 = NDCG = MRR = 1 and AUC 0
+        users = [NodeRef(U, i) for i in range(20)]
+        positives = [(u, i % 7) for i, u in enumerate(users)]
+        trials = build_trials(positives, {}, 30, 9, np.random.default_rng(0))
+
+        def nan_from(k):
+            def scorer(user, candidates):
+                scores = np.arange(candidates.size, dtype=float)
+                if user.index >= k:
+                    scores[user.index % candidates.size] = np.nan
+                return scores
+            return scorer
+
+        with pytest.raises(ValueError, match=r"^NaN score in a trial of user:0$"):
+            score_trials(lambda user, candidates: np.full(candidates.size, np.nan), trials)
+        with pytest.raises(ValueError, match=r"^NaN score in a trial of user:13$"):
+            score_trials(nan_from(13), trials)
+        with pytest.raises(ValueError, match="user:19"):
+            evaluate(nan_from(19), positives, {}, 30, n_negatives=9, seed=0)
+        assert len(score_trials(nan_from(20), trials)) == 20
 
     def test_no_trials_score_to_none(self):
         assert score_trials(RandomScorer(0), []) == []

@@ -22,6 +22,10 @@ pairs and the change first on odd ones:
 - ``forward``: one user's forward-only ``user_embedding`` from a corpus
   that holds the user's bags and nothing derived from them, as a
   ``recommend`` request embeds after its walks;
+- ``recommend``: one user's ``PathCorpus.build``, then
+  ``PolicyScorer(...).logits`` of the user on that corpus: the walks and
+  logits of one ``recommend`` request, which the ``serve`` workload's
+  request latency times;
 - ``rl_update``: ``train_rl`` in updates of 8 episodes, Adam included,
   timed per episode;
 - ``pretrain_batch``: one ``pretrain`` episode of 8 users, Adam included;
@@ -148,6 +152,17 @@ class Side:
             pkg.embedding.user_embedding(self.model.embed, env.graph, corpus, user)
         return (time.perf_counter() - t0) / len(self.users)
 
+    def recommend(self) -> float:
+        pkg, env = self.pkg, self.env
+        t0 = time.perf_counter()
+        for user in self.users:
+            corpus = pkg.metapath.PathCorpus.build(
+                env.graph, [user], env.corpus.metapaths, n=WALKS, max_len=WALK_LEN,
+                rng=self.walk_rng,
+            )
+            pkg.metrics.PolicyScorer(self.model, env.graph, corpus).logits(user)
+        return (time.perf_counter() - t0) / len(self.users)
+
     def rl_update(self) -> float:
         n = BATCH * len(self.users)
         t0 = time.perf_counter()
@@ -177,7 +192,9 @@ class Side:
         return time.perf_counter() - t0
 
 
-MEASUREMENTS = ("generate", "setup", "walks", "forward", "rl_update", "pretrain_batch", "evaluate")
+MEASUREMENTS = (
+    "generate", "setup", "walks", "forward", "recommend", "rl_update", "pretrain_batch", "evaluate"
+)
 
 
 def run_pairs(sides: dict[str, Side], pairs: int) -> dict[str, dict[str, list[float]]]:
