@@ -70,6 +70,9 @@ def _load(cls, path: Union[str, Path], kind: str):
 
 def load_train_config(path: Union[str, Path]) -> TrainConfig:
     cfg = _load(TrainConfig, path, "training")
+    for key in ("d", "L"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{path}: {key} must be >= 1, got {getattr(cfg, key)}")
     if cfg.d % cfg.L != 0:
         raise ConfigError(f"{path}: L ({cfg.L}) must divide d ({cfg.d})")
     return cfg

@@ -27,6 +27,8 @@ class EmbedConfig:
     leaky_slope: ClassVar[float] = 0.2  # node-attention LeakyReLU slope (HAN)
 
     def __post_init__(self) -> None:
+        if self.heads < 1:
+            raise ValueError(f"heads must be >= 1, got {self.heads}")
         if self.dim % self.heads != 0:
             raise ValueError(f"heads ({self.heads}) must divide dim ({self.dim})")
 

@@ -19,6 +19,10 @@ class NodeType(Enum):
     VIDEO = "video"
     CONCEPT = "concept"
 
+    # Members are singletons compared by identity; Enum's own hash is
+    # Python-level, and every NodeRef dict or set lookup goes through it.
+    __hash__ = object.__hash__
+
 
 # Each node type's position in NodeType: nodes sort by it, then by index.
 TYPE_ORDER = {t: i for i, t in enumerate(NodeType)}
@@ -42,6 +46,8 @@ class Relation(Enum):
     CONTAINS = "contains"  # course - video
     COVERS = "covers"      # course - concept
     TEACHES = "teaches"    # video - concept
+
+    __hash__ = object.__hash__  # as NodeType's
 
 
 ENDPOINTS: dict[Relation, frozenset[NodeType]] = {

@@ -67,7 +67,7 @@ class EvalReport:
         return "\n".join(lines)
 
 
-# -- ranks and per-metric aggregation --------------------------------------
+# -- ranks and aggregation ---------------------------------------------------
 
 
 def _rank_counts(
@@ -95,14 +95,6 @@ def _rank_counts(
     return 1 + above, np.count_nonzero(s < s_pos, axis=1), np.count_nonzero(tied, axis=1)
 
 
-def _ranks(trials: Sequence[RankedTrial]) -> np.ndarray:
-    """The trials' ranks; raises ValueError for no trials, where every
-    metric is undefined."""
-    if not trials:
-        raise ValueError("no trials")
-    return np.fromiter((t.rank for t in trials), dtype=float, count=len(trials))
-
-
 def _mean(terms: np.ndarray, n: int) -> float:
     """The sum of per-trial `terms` over `n` trials. The terms are added
     one at a time in trial order, as a loop over the trials adds them;
@@ -113,34 +105,6 @@ def _mean(terms: np.ndarray, n: int) -> float:
 def _gains(ranks: np.ndarray, k: int) -> np.ndarray:
     """Per-trial NDCG@k terms: 1/log2(1+rank) inside the cutoff, else 0."""
     return np.where(ranks <= k, 1.0 / np.log2(1.0 + ranks), 0.0)
-
-
-def hit_ratio(trials: Sequence[RankedTrial], k: int) -> float:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return int(np.count_nonzero(_ranks(trials) <= k)) / len(trials)
-
-
-def ndcg(trials: Sequence[RankedTrial], k: int) -> float:
-    """Binary-relevance NDCG with a single positive: 1/log2(1+rank) inside
-    the cutoff, 0 outside (the ideal ranking normalizes to 1)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return _mean(_gains(_ranks(trials), k), len(trials))
-
-
-def mrr(trials: Sequence[RankedTrial]) -> float:
-    return _mean(1.0 / _ranks(trials), len(trials))
-
-
-def auc(trials: Sequence[RankedTrial]) -> float:
-    """Mean per-trial (negatives below positive + half of ties) fraction."""
-    if not trials:
-        raise ValueError("no trials")
-    cands = [t.candidates for t in trials]
-    _, below, tied = _rank_counts(cands, [t.scores for t in trials], [t.positive for t in trials])
-    negatives = np.fromiter(map(len, cands), dtype=float, count=len(cands)) - 1
-    return _mean((below + 0.5 * tied) / negatives, len(trials))
 
 
 # -- trial construction and scoring ------------------------------------------
@@ -349,28 +313,33 @@ def score_trials(scorer: Scorer, trials: Sequence[TrialSpec]) -> list[RankedTria
         [spec.candidates for spec in trials], scores, [spec.positive for spec in trials]
     )
     return [
-        RankedTrial(
-            user=spec.user,
-            positive=spec.positive,
-            candidates=spec.candidates,
-            scores=spec_scores,
-            rank=int(rank),
-        )
-        for spec, spec_scores, rank in zip(trials, scores, ranks)
+        RankedTrial(spec.user, spec.positive, spec.candidates, spec_scores, rank)
+        for spec, spec_scores, rank in zip(trials, scores, ranks.tolist())
     ]
 
 
 def aggregate(trials: Sequence[RankedTrial]) -> EvalReport:
+    """The report of the trials, from one ranking pass over their scores.
+
+    HR@k is the share of trials whose positive ranks within k. NDCG@k is
+    binary-relevance NDCG with one positive: 1/log2(1 + rank) inside the
+    cutoff, 0 outside, so that the ideal ranking scores 1. MRR is the
+    mean of 1/rank. AUC is the mean share of a trial's negatives scored
+    below its positive, ties counting half. Raises ValueError for no
+    trials, where every metric is undefined.
+    """
+    if not trials:
+        raise ValueError("no trials")
+    n, cands = len(trials), [t.candidates for t in trials]
+    scores, positives = [t.scores for t in trials], [t.positive for t in trials]
+    ranks, below, tied = _rank_counts(cands, scores, positives)
+    negatives = np.fromiter(map(len, cands), dtype=float, count=n) - 1
     return EvalReport(
-        hr5=hit_ratio(trials, 5),
-        hr10=hit_ratio(trials, 10),
-        hr20=hit_ratio(trials, 20),
-        ndcg5=ndcg(trials, 5),
-        ndcg10=ndcg(trials, 10),
-        ndcg20=ndcg(trials, 20),
-        mrr=mrr(trials),
-        auc=auc(trials),
-        n_trials=len(trials),
+        *(int(np.count_nonzero(ranks <= k)) / n for k in (5, 10, 20)),
+        *(_mean(_gains(ranks, k), n) for k in (5, 10, 20)),
+        mrr=_mean(1.0 / ranks, n),
+        auc=_mean((below + 0.5 * tied) / negatives, n),
+        n_trials=n,
     )
 
 
@@ -415,7 +384,9 @@ def paired_difference(
         for x, y in zip(a, b)
     ):
         raise ValueError("paired rankings must hold the same trials")
-    ra, rb = _ranks(a), _ranks(b)
+    if not a:
+        raise ValueError("no trials")
+    ra, rb = (np.fromiter((t.rank for t in x), dtype=float, count=len(x)) for x in (a, b))
     diffs = np.stack(
         [(ra <= 5).astype(float) - (rb <= 5), _gains(ra, 10) - _gains(rb, 10)], axis=1
     )

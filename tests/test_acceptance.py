@@ -30,12 +30,8 @@ from hincrec.metrics import (
     PolicyScorer,
     RankedTrial,
     aggregate,
-    auc,
     build_trials,
     evaluate,
-    hit_ratio,
-    mrr,
-    ndcg,
     paired_difference,
     rank_of_positive,
     score_trials,
@@ -290,11 +286,12 @@ def test_criterion_3_metric_oracle():
                 )
             )
         ref = brute_metrics(raw, (5, 10, 20))
+        report = aggregate(ranked)
         for k in (5, 10, 20):
-            assert abs(hit_ratio(ranked, k) - ref[f"hr@{k}"]) < 1e-12
-            assert abs(ndcg(ranked, k) - ref[f"ndcg@{k}"]) < 1e-12
-        assert abs(mrr(ranked) - ref["mrr"]) < 1e-12
-        assert abs(auc(ranked) - ref["auc"]) < 1e-12
+            assert abs(getattr(report, f"hr{k}") - ref[f"hr@{k}"]) < 1e-12
+            assert abs(getattr(report, f"ndcg{k}") - ref[f"ndcg@{k}"]) < 1e-12
+        assert abs(report.mrr - ref["mrr"]) < 1e-12
+        assert abs(report.auc - ref["auc"]) < 1e-12
 
         # closed-form spot values
         def with_rank(r):
@@ -303,8 +300,8 @@ def test_criterion_3_metric_oracle():
             return RankedTrial(NodeRef(U, 0), r - 1, cands, scores,
                                rank_of_positive(cands, scores, r - 1))
 
-        assert ndcg([with_rank(3)], 10) == pytest.approx(0.5, abs=1e-12)
-        assert mrr([with_rank(r) for r in (1, 2, 4)]) == pytest.approx(
+        assert aggregate([with_rank(3)]).ndcg10 == pytest.approx(0.5, abs=1e-12)
+        assert aggregate([with_rank(r) for r in (1, 2, 4)]).mrr == pytest.approx(
             0.5833333333333334, abs=1e-12
         )
 

@@ -286,6 +286,12 @@ def test_negative_episodes_in_config_exit_2(workspace, capsys, command, key, val
     assert_bad_count_exits_2(workspace, capsys, command, key, value, message)
 
 
+@pytest.mark.parametrize("key", ["d", "L"])
+def test_size_below_one_in_config_exits_2(workspace, capsys, key):
+    message = f"{workspace / 'bad.cfg'}: {key} must be >= 1, got 0"
+    assert_bad_count_exits_2(workspace, capsys, "pretrain", key, 0, message)
+
+
 def assert_bad_count_exits_2(workspace, capsys, command, key, value, message):
     """`command` run with `key` set to `value` in the run config exits 2
     with `message` and writes no checkpoint."""

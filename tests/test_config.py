@@ -1,6 +1,7 @@
 import pytest
 
 from hincrec.config import ConfigError, TrainConfig, load_synth_config, load_train_config
+from hincrec.embedding import EmbedConfig
 
 
 def test_training_defaults():
@@ -67,6 +68,19 @@ def test_heads_must_divide_dim(tmp_path):
     path.write_text("d = 10\nL = 4\n", encoding="utf-8")
     with pytest.raises(ConfigError):
         load_train_config(path)
+
+
+@pytest.mark.parametrize("line, key", [("d = 0", "d"), ("L = 0", "L"), ("d = -8\nL = 0", "d")])
+def test_sizes_below_one_rejected(tmp_path, line, key):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match=f"{key} must be >= 1"):
+        load_train_config(path)
+
+
+def test_heads_below_one_rejected():
+    with pytest.raises(ValueError, match="heads must be >= 1, got 0"):
+        EmbedConfig(dim=8, heads=0)
 
 
 def test_parse_synth_file(tmp_path):

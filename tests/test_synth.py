@@ -152,8 +152,9 @@ class TestPinned:
 
 
 def test_written_dataset_independent_of_hash_seed(tmp_path):
-    # NodeType hashes by its name, which Python randomizes per process;
-    # generation must not iterate anything in hash order
+    # NodeType hashes by identity, and NodeRef's hash with it, so hashes
+    # vary between processes; generation must not iterate anything in
+    # hash order
     script = (
         "import sys\n"
         "from hincrec.data import save_dataset\n"
